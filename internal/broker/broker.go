@@ -1119,8 +1119,10 @@ func (b *Broker) sink(batch []shard.Out) {
 			if st.epoch != src.subEpoch || !slices.Equal(st.inDests, o.Tr.Destinations) {
 				st.epoch, st.inDests = src.subEpoch, o.Tr.Destinations
 				// Fresh slices on recompute: queued Deliveries alias the
-				// previous labels slice, which must stay immutable.
-				st.targets, st.labels = nil, nil
+				// previous labels slice, which must stay immutable. Sized
+				// once: the live group is at most the destination list.
+				n := len(o.Tr.Destinations)
+				st.targets, st.labels = make([]*Sub, 0, n), make([]string, 0, n)
 				for _, app := range o.Tr.Destinations {
 					if sub := b.subs[o.Source][app]; sub != nil {
 						st.targets = append(st.targets, sub)

@@ -1,29 +1,79 @@
 package core
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"gasf/internal/filter"
+	"gasf/internal/quality"
 	"gasf/internal/trace"
+	"gasf/internal/tuple"
 )
 
+// group12 builds the mixed 12-filter group of the benchmark's
+// embedded_group workload over a seeded NAMOS trace: quality.Table52
+// groups G3 (DC1), G5[:2] (DC3), G6[:2] (DC2) and G7 (sampling) plus two
+// stateful filters on G3's deltas, with slack = delta/4 and 250 ms
+// sampling segments. It returns the trace and a builder of fresh groups.
+func group12(tb testing.TB, n int, seed int64) (*tuple.Series, func() []filter.Filter) {
+	tb.Helper()
+	sr, err := trace.NAMOS(trace.Config{N: n, Seed: seed})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	groups, err := quality.Table52(sr, 52)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var specs []quality.Spec
+	specs = append(specs, groups[2].Specs...)
+	specs = append(specs, groups[4].Specs[:2]...)
+	specs = append(specs, groups[5].Specs[:2]...)
+	specs = append(specs, groups[6].Specs...)
+	for _, sp := range groups[2].Specs[:2] {
+		sp.Kind = quality.SDC
+		specs = append(specs, sp)
+	}
+	for i := range specs {
+		if specs[i].Kind == quality.SS {
+			specs[i].Interval = 250 * time.Millisecond
+		} else {
+			specs[i].Slack = specs[i].Delta / 4
+		}
+	}
+	return sr, func() []filter.Filter {
+		out := make([]filter.Filter, len(specs))
+		for i, sp := range specs {
+			f, err := sp.Build(fmt.Sprintf("app%02d", i))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			out[i] = f
+		}
+		return out
+	}
+}
+
 // TestStepAllocsBounded is the allocation regression gate for the engine
-// hot path (DESIGN.md §8): a full run over the DC1 NAMOS trace must stay
-// within a small per-tuple allocation budget. The budget covers the
-// retained outputs (result transmissions, candidate-set members) — the
-// steady-state bookkeeping itself is allocation-free; regressions that
-// reintroduce per-step map or scratch churn trip this long before they
-// show up in wall-clock benchmarks.
+// hot path (DESIGN.md §8): a full run, engine construction and Finish
+// included, must stay within a small per-tuple allocation budget on the
+// single-kind DC1 trace and on the mixed 12-filter group, whose many
+// pending sets and multi-owner picks the DC1 trace never produces. What
+// a run may allocate is what its result retains (one destination list per
+// transmission, the growth of the result's slices); a change that
+// reintroduces per-step map, set or scratch churn trips this long before
+// it shows in wall-clock benchmarks.
 func TestStepAllocsBounded(t *testing.T) {
-	sr, err := trace.NAMOS(trace.Config{N: 2000, Seed: 5})
+	dc1, err := trace.NAMOS(trace.Config{N: 2000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stat, err := sr.MeanAbsChange("fluoro")
+	stat, err := dc1.MeanAbsChange("fluoro")
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func() []filter.Filter {
+	buildDC1 := func() []filter.Filter {
 		out := make([]filter.Filter, 3)
 		for i := range out {
 			mult := 1 + float64(i)*0.37
@@ -35,27 +85,64 @@ func TestStepAllocsBounded(t *testing.T) {
 		}
 		return out
 	}
-	const perStepBudget = 12.0
-	for _, alg := range []Algorithm{RG, PS} {
-		avg := testing.AllocsPerRun(3, func() {
-			e, err := NewEngine(build(), Options{Algorithm: alg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < sr.Len(); i++ {
-				if err := e.Step(sr.At(i)); err != nil {
+	mixed, buildMixed := group12(t, 10000, 5000)
+	for _, c := range []struct {
+		name   string
+		sr     *tuple.Series
+		build  func() []filter.Filter
+		budget float64 // allocations per Step
+	}{
+		{"DC1x3", dc1, buildDC1, 1.5},
+		{"mixed12", mixed, buildMixed, 3},
+	} {
+		for _, alg := range []Algorithm{RG, PS} {
+			avg := testing.AllocsPerRun(3, func() {
+				e, err := NewEngine(c.build(), Options{Algorithm: alg})
+				if err != nil {
 					t.Fatal(err)
 				}
+				for i := 0; i < c.sr.Len(); i++ {
+					if err := e.Step(c.sr.At(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := e.Finish(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			perStep := avg / float64(c.sr.Len())
+			if perStep > c.budget {
+				t.Errorf("%s %v: %.2f allocs per Step, budget %.1f", c.name, alg, perStep, c.budget)
 			}
-			if err := e.Finish(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		perStep := avg / float64(sr.Len())
-		if perStep > perStepBudget {
-			t.Errorf("%v: %.2f allocs per Step on the DC1 trace, budget %.1f", alg, perStep, perStepBudget)
 		}
 	}
+}
+
+// BenchmarkStepGroup12 steps the mixed 12-filter group one tuple per
+// iteration, so ns/op and allocs/op are the benchmark harness's
+// core.step_ns_per_tuple and core.allocs_per_tuple on embedded_group;
+// pending-sets/op is the mean number of closed sets the region tracker
+// holds after a Step.
+func BenchmarkStepGroup12(b *testing.B) {
+	sr, build := group12(b, 10000, 5000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	pending := 0
+	for done := 0; done < b.N; {
+		b.StopTimer()
+		e, err := NewEngine(build(), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for i := 0; i < sr.Len() && done < b.N; i, done = i+1, done+1 {
+			if err := e.Step(sr.At(i)); err != nil {
+				b.Fatal(err)
+			}
+			pending += e.tracker.PendingSets()
+		}
+	}
+	b.ReportMetric(float64(pending)/float64(b.N), "pending-sets/op")
 }
 
 // TestSeqCounts covers the generational utility index directly, including

@@ -19,10 +19,25 @@ import (
 // An Engine is single-source and not safe for concurrent use; the Solar
 // layer runs one engine per source node.
 //
-// The steady-state Step path is allocation-free: utilities live in a
-// generational dense index, open-set tracking and scratch sets are engine-
-// owned and cleared in place, and pendingOut buffers are recycled after
-// release (see state.go and DESIGN.md §8).
+// What a Step allocates is what the result retains — one destination list
+// per transmission, plus the amortized growth of Result's slices — and
+// the growth of scratch that has not reached its working size yet.
+// Everything else is reused: utilities live in a generational dense index
+// (state.go), open-set tracking and region scratch are engine-owned and
+// cleared in place, and candidate sets cycle between the filters and the
+// engine.
+//
+// Candidate sets. A filter hands a set over when it closes it; from then
+// on this engine holds the only references: in the region tracker until
+// the set's region is final, then in the tracker's scratch (the Region and
+// its Sets, valid until the tracker's next Ready or Flush) and the greedy
+// solver's while handleRegion decides it. The per-set bookkeeping
+// (Accounted, Decided, Picks) rides on the set. handleRegion ends by
+// recycling every set of the region to its filter's free list: outputs,
+// results and the batch buffer hold tuples and owner labels, never sets,
+// so nothing may read a set pointer past that point. An engine owns its
+// filters — the free lists are touched only under the engine's own
+// serialization.
 type Engine struct {
 	filters []filter.Filter
 	opts    Options
@@ -40,15 +55,6 @@ type Engine struct {
 	tracker region.Tracker
 	// predictor models greedy run time for timely cuts (§3.3).
 	predictor *predict.RunTimePredictor
-	// accounted marks sets whose utility contribution has been removed.
-	accounted map[*filter.CandidateSet]bool
-	// decidedPicks records chosen outputs of sets decided before region
-	// emission (PS sets and stateful sets), so the RG greedy can treat
-	// them as singleton proxies.
-	decidedPicks map[*filter.CandidateSet][]*tuple.Tuple
-	// attached holds decided outputs awaiting their region's closure
-	// (EarliestRegion strategy).
-	attached map[*filter.CandidateSet][]pendingOut
 	// batchBuf holds outputs awaiting the next batch boundary.
 	batchBuf   []pendingOut
 	batchCount int
@@ -73,25 +79,17 @@ type Engine struct {
 
 	// Scratch state, owned by the engine and reused across steps.
 
-	// seqScratch marks sequence numbers during batch removals; cleared in
-	// place after each use.
-	seqScratch map[int]struct{}
 	// minsBuf backs openMins.
 	minsBuf []time.Time
 	// regionOuts stages one region's outputs during handleRegion.
 	regionOuts []pendingOut
-	// proxyBuf holds the singleton proxies of one region's greedy input.
-	proxyBuf []*filter.CandidateSet
-	// undecidedBuf / greedyBuf stage one region's set partition.
-	undecidedBuf []*filter.CandidateSet
-	greedyBuf    []*filter.CandidateSet
-	// poFree recycles pendingOut buffers (see state.go).
-	poFree [][]pendingOut
+	// greedyBuf is one region's greedy input; proxies are the stand-ins
+	// it points to for the region's already decided sets.
+	greedyBuf []*filter.CandidateSet
+	proxies   []filter.CandidateSet
 	// solver decides regions with reusable greedy state.
 	solver hitting.Solver
-	// rel* back mergeRelease (see output.go).
-	relIdx   map[int]int
-	relTrs   []Transmission
+	// relOrder backs mergeRelease's release order (see output.go).
 	relOrder []int
 }
 
@@ -132,15 +130,10 @@ func newEngine(filters []filter.Filter, opts Options, allowEmpty bool) (*Engine,
 		open:           make([][]*tuple.Tuple, len(cp)),
 		slot:           slot,
 		predictor:      predict.NewRunTimePredictor(opts.PredictWindow, opts.PredictMargin),
-		accounted:      make(map[*filter.CandidateSet]bool),
-		decidedPicks:   make(map[*filter.CandidateSet][]*tuple.Tuple),
-		attached:       make(map[*filter.CandidateSet][]pendingOut),
 		chosen:         make(map[int]time.Time),
 		distinct:       make(map[int]bool),
 		maxReleasedSeq: -1,
 		result:         Result{Stats: Stats{PerFilter: make(map[string]int)}},
-		seqScratch:     make(map[int]struct{}),
-		relIdx:         make(map[int]int),
 	}, nil
 }
 
@@ -223,16 +216,14 @@ func (e *Engine) Finish() error {
 		cs, dismissed := f.Cut()
 		e.applyDismissals(i, dismissed)
 		if cs != nil {
-			e.removeOpenMembers(i, cs)
+			e.dropOpen(i, cs.Members)
 			if err := e.handleClosed(f, cs); err != nil {
 				return err
 			}
 		}
 	}
-	for _, r := range e.tracker.Flush() {
-		if err := e.handleRegion(r); err != nil {
-			return err
-		}
+	if err := e.handleRegions(e.tracker.Flush()); err != nil {
+		return err
 	}
 	if len(e.stepBuf) > 0 {
 		e.mergeRelease(e.stepBuf, e.now)
@@ -278,7 +269,7 @@ func (e *Engine) apply(i int, f filter.Filter, t *tuple.Tuple, ev filter.Event) 
 			return nil
 		}
 		cs := ev.Closed
-		e.removeOpenMembers(i, cs)
+		e.dropOpen(i, cs.Members)
 		if !f.Stateful() {
 			return e.handleClosed(f, cs)
 		}
@@ -314,64 +305,32 @@ func (e *Engine) handleClosed(f filter.Filter, cs *filter.CandidateSet) error {
 }
 
 // applyDismissals decrements utilities and open tracking for dismissed
-// tuples. The open list is compacted in one in-place pass instead of one
-// O(n) copy per dismissal.
+// tuples.
 func (e *Engine) applyDismissals(i int, dismissed []*tuple.Tuple) {
-	switch len(dismissed) {
-	case 0:
-		return
-	case 1:
-		e.util.dec(dismissed[0].Seq)
-		e.removeOpen(i, dismissed[0].Seq)
+	if len(dismissed) == 0 {
 		return
 	}
-	clear(e.seqScratch)
 	for _, d := range dismissed {
 		e.util.dec(d.Seq)
-		e.seqScratch[d.Seq] = struct{}{}
 	}
+	e.dropOpen(i, dismissed)
+}
+
+// dropOpen removes tuples from the open tracking of the filter at slot i.
+// What a filter dismisses or closes is an in-order subsequence of what it
+// admitted — members and tentative buffers are kept in arrival order — so
+// one two-pointer pass compacts the list in place.
+func (e *Engine) dropOpen(i int, drop []*tuple.Tuple) {
 	list := e.open[i]
 	keep := list[:0]
 	for _, t := range list {
-		if _, drop := e.seqScratch[t.Seq]; !drop {
-			keep = append(keep, t)
+		if len(drop) > 0 && drop[0].Seq == t.Seq {
+			drop = drop[1:]
+			continue
 		}
+		keep = append(keep, t)
 	}
-	for j := len(keep); j < len(list); j++ {
-		list[j] = nil
-	}
-	e.open[i] = keep
-}
-
-func (e *Engine) removeOpen(i, seq int) {
-	list := e.open[i]
-	for j, t := range list {
-		if t.Seq == seq {
-			copy(list[j:], list[j+1:])
-			list[len(list)-1] = nil
-			e.open[i] = list[:len(list)-1]
-			return
-		}
-	}
-}
-
-// removeOpenMembers drops a closed set's members from the filter's open
-// tracking.
-func (e *Engine) removeOpenMembers(i int, cs *filter.CandidateSet) {
-	clear(e.seqScratch)
-	for _, m := range cs.Members {
-		e.seqScratch[m.Seq] = struct{}{}
-	}
-	list := e.open[i]
-	keep := list[:0]
-	for _, t := range list {
-		if _, member := e.seqScratch[t.Seq]; !member {
-			keep = append(keep, t)
-		}
-	}
-	for j := len(keep); j < len(list); j++ {
-		list[j] = nil
-	}
+	clear(list[len(keep):])
 	e.open[i] = keep
 }
 
@@ -391,9 +350,17 @@ func (e *Engine) openMins() []time.Time {
 
 // emitRegions extracts final regions and decides/releases their outputs.
 func (e *Engine) emitRegions() error {
-	regions := e.tracker.Ready(e.openMins(), e.now)
-	for _, r := range regions {
-		if err := e.handleRegion(r); err != nil {
+	if e.tracker.PendingSets() == 0 {
+		return nil
+	}
+	return e.handleRegions(e.tracker.Ready(e.openMins(), e.now))
+}
+
+// handleRegions handles extracted regions in order. The regions are the
+// tracker's scratch; nothing below calls back into the tracker.
+func (e *Engine) handleRegions(regions []region.Region) error {
+	for i := range regions {
+		if err := e.handleRegion(&regions[i]); err != nil {
 			return err
 		}
 	}
@@ -401,7 +368,7 @@ func (e *Engine) emitRegions() error {
 }
 
 // handleRegion decides (RG) and/or releases (per strategy) a closed
-// region's outputs.
+// region's outputs, then recycles the region's sets.
 func (e *Engine) handleRegion(r *region.Region) error {
 	st := &e.result.Stats
 	st.Regions++
@@ -411,119 +378,118 @@ func (e *Engine) handleRegion(r *region.Region) error {
 	size := r.TupleCount()
 	st.RegionTupleSum += size
 
-	// Collect attached decided outputs (EarliestRegion holds them until
-	// the region closes). outs is engine-owned scratch; its contents are
-	// copied on release.
+	// Outputs of sets decided before the region closed were released at
+	// decision time, except under EarliestRegion, which holds them until
+	// now. outs is engine-owned scratch; its contents are copied on
+	// release.
 	outs := e.regionOuts[:0]
+	decided := 0
 	for _, cs := range r.Sets {
-		if held, ok := e.attached[cs]; ok {
-			outs = append(outs, held...)
-			delete(e.attached, cs)
-			e.putPOBuf(held)
+		if !cs.Decided {
+			continue
+		}
+		decided++
+		if e.opts.Strategy == EarliestRegion {
+			for _, p := range cs.Picks {
+				outs = append(outs, pendingOut{t: p, dest: cs.Owner})
+			}
 		}
 	}
 
 	// Undecided sets (RG stateless) are decided by the greedy hitting
 	// set; already-decided sets join as singleton proxies so sharing
 	// with their chosen tuples is considered (§2.3.3).
-	undecided := e.undecidedBuf[:0]
+	var err error
+	if decided < len(r.Sets) {
+		outs, err = e.decideRegion(r, size, decided, outs)
+	}
+	if err == nil {
+		switch e.opts.Strategy {
+		case Batched:
+			e.batchBuf = append(e.batchBuf, outs...)
+		default:
+			e.mergeRelease(outs, e.now)
+		}
+		if e.opts.EmitPunctuations {
+			_, max := r.Cover()
+			e.result.Punctuations = append(e.result.Punctuations, Punctuation{At: e.now, Horizon: max})
+		}
+		for _, cs := range r.Sets {
+			cs.Recycle()
+		}
+	}
+	clear(outs)
+	e.regionOuts = outs[:0]
+	return err
+}
+
+// decideRegion runs the greedy hitting set over a region with undecided
+// sets and appends one output per pick that serves any of them. decided
+// is the number of already decided sets in the region.
+func (e *Engine) decideRegion(r *region.Region, size, decided int, outs []pendingOut) ([]pendingOut, error) {
+	// The proxies are sized first: the greedy input points into them.
+	if cap(e.proxies) < decided {
+		e.proxies = make([]filter.CandidateSet, decided)
+	}
+	proxies := e.proxies[:0]
 	greedySets := e.greedyBuf[:0]
-	proxies := e.proxyBuf[:0]
 	for _, cs := range r.Sets {
-		if picks, ok := e.decidedPicks[cs]; ok {
-			p := &filter.CandidateSet{
+		if cs.Decided {
+			proxies = append(proxies, filter.CandidateSet{
 				Owner:      cs.Owner,
 				Ordinal:    cs.Ordinal,
-				Members:    picks,
-				PickDegree: len(picks),
-			}
-			proxies = append(proxies, p)
-			greedySets = append(greedySets, p)
-			delete(e.decidedPicks, cs)
-			continue
+				Members:    cs.Picks,
+				PickDegree: len(cs.Picks),
+				Decided:    true,
+			})
+			cs = &proxies[len(proxies)-1]
 		}
-		undecided = append(undecided, cs)
 		greedySets = append(greedySets, cs)
 	}
-	if len(undecided) > 0 {
-		start := time.Now()
-		picks, err := e.solver.Greedy(greedySets, e.opts.Ties == PreferEarliest)
-		elapsed := time.Since(start)
-		if err != nil {
-			e.saveRegionScratch(outs, undecided, greedySets, proxies)
-			return fmt.Errorf("core: deciding region: %w", err)
-		}
-		st.GreedyCPU += elapsed
+	start := time.Now()
+	picks, err := e.solver.Greedy(greedySets, e.opts.Ties == PreferEarliest)
+	elapsed := time.Since(start)
+	if err != nil {
+		err = fmt.Errorf("core: deciding region: %w", err)
+	} else {
+		e.result.Stats.GreedyCPU += elapsed
 		e.predictor.Observe(size, elapsed)
-		for _, cs := range undecided {
-			if !e.accounted[cs] {
+		for _, cs := range r.Sets {
+			if !cs.Decided && !cs.Accounted {
 				for _, m := range cs.Members {
 					e.util.dec(m.Seq)
 				}
 			}
 		}
 		for _, pk := range picks {
-			var dests []string
+			// A pick's destinations are the owners of the undecided sets
+			// it was credited to. The list is built once, at its final
+			// size; mergeRelease keeps it when no other output shares the
+			// tuple.
+			n := 0
 			for _, cs := range pk.Sets {
-				if isProxy(proxies, cs) || containsLabel(dests, cs.Owner) {
-					continue
+				if !cs.Decided {
+					n++
 				}
-				dests = append(dests, cs.Owner)
 			}
-			if len(dests) > 0 {
-				outs = append(outs, pendingOut{t: pk.Tuple, dests: dests, decidedAt: e.now})
+			if n == 0 {
+				continue
 			}
+			dests := make([]string, 0, n)
+			for _, cs := range pk.Sets {
+				if !cs.Decided && !containsLabel(dests, cs.Owner) {
+					dests = append(dests, cs.Owner)
+				}
+			}
+			outs = append(outs, pendingOut{t: pk.Tuple, dests: dests})
 		}
 	}
-	for _, cs := range r.Sets {
-		delete(e.accounted, cs)
-	}
-
-	switch e.opts.Strategy {
-	case Batched:
-		e.batchBuf = append(e.batchBuf, outs...)
-	default:
-		e.mergeRelease(outs, e.now)
-	}
-	if e.opts.EmitPunctuations {
-		_, max := r.Cover()
-		e.result.Punctuations = append(e.result.Punctuations, Punctuation{At: e.now, Horizon: max})
-	}
-	e.saveRegionScratch(outs, undecided, greedySets, proxies)
-	return nil
-}
-
-// saveRegionScratch returns handleRegion's scratch slices to the engine
-// with their contents cleared, so recycled buffers do not pin tuples or
-// candidate sets past release.
-func (e *Engine) saveRegionScratch(outs []pendingOut, undecided, greedy, proxies []*filter.CandidateSet) {
-	for i := range outs {
-		outs[i] = pendingOut{}
-	}
-	clearSets(undecided)
-	clearSets(greedy)
-	clearSets(proxies)
-	e.regionOuts = outs[:0]
-	e.undecidedBuf = undecided[:0]
-	e.greedyBuf = greedy[:0]
-	e.proxyBuf = proxies[:0]
-}
-
-func clearSets(s []*filter.CandidateSet) {
-	for i := range s {
-		s[i] = nil
-	}
-}
-
-// isProxy reports whether cs is one of the region's singleton proxies;
-// region set counts are small, so a scan beats a per-region map.
-func isProxy(proxies []*filter.CandidateSet, cs *filter.CandidateSet) bool {
-	for _, p := range proxies {
-		if p == cs {
-			return true
-		}
-	}
-	return false
+	// The picks are read; drop the greedy input so the scratch pins no set
+	// or tuple.
+	clear(proxies)
+	clear(greedySets)
+	e.greedyBuf = greedySets[:0]
+	return outs, err
 }
 
 // containsLabel reports whether the destination list already carries the
@@ -560,7 +526,7 @@ func (e *Engine) decideSet(cs *filter.CandidateSet) []*tuple.Tuple {
 	if k > len(eligible) {
 		k = len(eligible)
 	}
-	picks := make([]*tuple.Tuple, 0, k)
+	picks := cs.Picks[:0]
 	for len(picks) < k {
 		var best *tuple.Tuple
 		// Heuristic 1: a tuple already chosen by another filter.
@@ -593,11 +559,11 @@ func (e *Engine) decideSet(cs *filter.CandidateSet) []*tuple.Tuple {
 		}
 		picks = append(picks, best)
 	}
-	if !e.accounted[cs] {
+	if !cs.Accounted {
 		for _, m := range cs.Members {
 			e.util.dec(m.Seq)
 		}
-		e.accounted[cs] = true
+		cs.Accounted = true
 	}
 	for _, p := range picks {
 		e.recordChosen(p)
@@ -628,25 +594,20 @@ func (e *Engine) prefer(m, best *tuple.Tuple) bool {
 	return m.TS.After(best.TS) || (m.TS.Equal(best.TS) && m.Seq > best.Seq)
 }
 
-// stageDecided routes a decided set's outputs per the output strategy and
-// records the picks for region-time proxying.
+// stageDecided records a decided set's picks on the set, for region-time
+// proxying, and routes them per the output strategy. EarliestRegion stages
+// nothing here: the picks wait on the set until its region closes.
 func (e *Engine) stageDecided(cs *filter.CandidateSet, picks []*tuple.Tuple) {
-	e.decidedPicks[cs] = picks
+	cs.Decided, cs.Picks = true, picks
 	switch e.opts.Strategy {
 	case PerCandidateSet:
 		for _, p := range picks {
-			e.stepBuf = append(e.stepBuf, pendingOut{t: p, dest: cs.Owner, decidedAt: e.now})
+			e.stepBuf = append(e.stepBuf, pendingOut{t: p, dest: cs.Owner})
 		}
 	case Batched:
 		for _, p := range picks {
-			e.batchBuf = append(e.batchBuf, pendingOut{t: p, dest: cs.Owner, decidedAt: e.now})
+			e.batchBuf = append(e.batchBuf, pendingOut{t: p, dest: cs.Owner})
 		}
-	default: // EarliestRegion: hold until the region closes.
-		outs := e.getPOBuf()
-		for _, p := range picks {
-			outs = append(outs, pendingOut{t: p, dest: cs.Owner, decidedAt: e.now})
-		}
-		e.attached[cs] = outs
 	}
 }
 
@@ -701,7 +662,7 @@ func (e *Engine) cutFilter(i int) error {
 	if cs == nil {
 		return nil
 	}
-	e.removeOpenMembers(i, cs)
+	e.dropOpen(i, cs.Members)
 	return e.handleClosed(f, cs)
 }
 

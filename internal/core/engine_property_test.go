@@ -100,7 +100,7 @@ func TestEngineInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		if e.util.Len() != 0 || len(e.attached) != 0 || len(e.decidedPicks) != 0 {
+		if e.util.Len() != 0 || e.tracker.PendingSets() != 0 {
 			return false
 		}
 		for _, l := range res.Stats.Latencies {

@@ -277,9 +277,9 @@ func TestUtilitiesDrainToZero(t *testing.T) {
 		if e.util.Len() != 0 {
 			t.Errorf("%v: %d utility entries leaked", alg, e.util.Len())
 		}
-		if len(e.attached) != 0 || len(e.decidedPicks) != 0 {
-			t.Errorf("%v: pending decision state leaked (%d attached, %d picks)",
-				alg, len(e.attached), len(e.decidedPicks))
+		// Decision state rides on the sets, so it leaks only with a set.
+		if n := e.tracker.PendingSets(); n != 0 {
+			t.Errorf("%v: %d sets, and their decision state, left pending", alg, n)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"gasf/internal/tuple"
@@ -108,58 +109,54 @@ type Result struct {
 // pendingOut is a decided output waiting for its release time. The common
 // single-destination case (a set decided for its owner) uses dest so
 // staging a decision allocates nothing; region greedy picks shared by
-// several owners carry dests.
+// several owners carry dests, a list of exactly that size which nothing
+// else references.
 type pendingOut struct {
-	t         *tuple.Tuple
-	dest      string
-	dests     []string
-	decidedAt time.Time
+	t     *tuple.Tuple
+	dest  string
+	dests []string
 }
 
 // mergeRelease folds pending outputs released at the same instant into
-// transmissions, merging destination lists of the same tuple, and records
-// stats. Destination lists are sorted for determinism. The grouping state
-// (relIdx/relTrs/relOrder) is engine-owned scratch reused across calls;
-// only the retained per-transmission destination list is allocated.
+// transmissions in sequence order, merging the destination lists of the
+// same tuple, and records stats. Destination lists are sorted for
+// determinism. The only allocation is the destination list the result
+// retains, and an output that alone carries its tuple donates its own.
 func (e *Engine) mergeRelease(outs []pendingOut, releasedAt time.Time) {
-	if len(outs) == 0 {
-		return
+	// Order indices, not the outputs: those are full of pointers, and
+	// moving them costs write barriers. Ties keep staging order.
+	order := e.relOrder[:0]
+	for i := range outs {
+		order = append(order, i)
 	}
-	clear(e.relIdx)
-	e.relOrder = e.relOrder[:0]
-	trs := e.relTrs[:0]
-	for _, po := range outs {
-		i, ok := e.relIdx[po.t.Seq]
-		if !ok {
-			i = len(trs)
-			if i < cap(trs) {
-				// Reuse the slot, keeping its Destinations backing array.
-				trs = trs[:i+1]
-				trs[i].Tuple, trs[i].ReleasedAt = po.t, releasedAt
-				trs[i].Destinations = trs[i].Destinations[:0]
-			} else {
-				trs = append(trs, Transmission{Tuple: po.t, ReleasedAt: releasedAt})
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(outs[a].t.Seq, outs[b].t.Seq), cmp.Compare(a, b))
+	})
+	e.relOrder = order
+	st := &e.result.Stats
+	for len(order) > 0 {
+		first := &outs[order[0]]
+		t, seq := first.t, first.t.Seq
+		n, same := 0, 0
+		for same < len(order) && outs[order[same]].t.Seq == seq {
+			n += max(1, len(outs[order[same]].dests))
+			same++
+		}
+		dests := first.dests
+		if same > 1 || dests == nil {
+			dests = make([]string, 0, n)
+			for _, i := range order[:same] {
+				if po := &outs[i]; po.dests != nil {
+					dests = append(dests, po.dests...)
+				} else {
+					dests = append(dests, po.dest)
+				}
 			}
-			e.relIdx[po.t.Seq] = i
-			e.relOrder = append(e.relOrder, po.t.Seq)
 		}
-		if po.dests != nil {
-			trs[i].Destinations = append(trs[i].Destinations, po.dests...)
-		} else {
-			trs[i].Destinations = append(trs[i].Destinations, po.dest)
-		}
-	}
-	sort.Ints(e.relOrder)
-	for _, seq := range e.relOrder {
-		tr := &trs[e.relIdx[seq]]
-		sort.Strings(tr.Destinations)
-		// The result retains the transmission; give it a right-sized
-		// destination list so the scratch array stays recyclable.
-		dests := make([]string, len(tr.Destinations))
-		copy(dests, tr.Destinations)
+		order = order[same:]
+		slices.Sort(dests)
 		e.result.Transmissions = append(e.result.Transmissions,
-			Transmission{Tuple: tr.Tuple, Destinations: dests, ReleasedAt: tr.ReleasedAt})
-		st := &e.result.Stats
+			Transmission{Tuple: t, Destinations: dests, ReleasedAt: releasedAt})
 		if seq < e.maxReleasedSeq {
 			st.MultiplexDisorder++
 		} else {
@@ -171,16 +168,10 @@ func (e *Engine) mergeRelease(outs []pendingOut, releasedAt time.Time) {
 			e.distinct[seq] = true
 			st.DistinctOutputs++
 		}
-		lat := releasedAt.Sub(tr.Tuple.TS) + e.opts.MulticastDelay
+		lat := releasedAt.Sub(t.TS) + e.opts.MulticastDelay
 		for _, d := range dests {
 			st.PerFilter[d]++
 			st.Latencies = append(st.Latencies, lat)
 		}
 	}
-	// Drop tuple pointers from the scratch so released tuples are not
-	// pinned by the next window's unused capacity.
-	for i := range trs {
-		trs[i].Tuple = nil
-	}
-	e.relTrs = trs[:0]
 }

@@ -1,10 +1,10 @@
 package core
 
-// Reusable engine state for the allocation-free steady-state tuple path.
-// The structures here replace the per-step map and slice churn the engine
-// used to do: a generational dense sequence→count index instead of a
-// map[int]int rebuilt entry by entry, and a free list for pendingOut
-// buffers so decided-output staging recycles memory after each release.
+import "slices"
+
+// Reusable engine state for the steady-state tuple path: a generational
+// dense sequence→count index instead of a map[int]int rebuilt entry by
+// entry.
 
 // seqCounts is a generational index from tuple sequence number to a small
 // counter (the group utility). Sources emit strictly increasing sequence
@@ -67,8 +67,12 @@ func (u *seqCounts) inc(seq int) {
 		return
 	}
 	pos := u.head + i
-	if pos >= len(u.buf) {
-		u.buf = append(u.buf, make([]int32, pos+1-len(u.buf))...)
+	if n := len(u.buf); pos >= n {
+		// Grow and zero by hand: the compiler's allocation-free form of
+		// append(buf, make(...)...) is off under the race detector, which
+		// is how CI runs the allocation gate.
+		u.buf = slices.Grow(u.buf, pos+1-n)[:pos+1]
+		clear(u.buf[n:])
 	}
 	if u.buf[pos] == 0 {
 		u.live++
@@ -119,28 +123,6 @@ func (u *seqCounts) dec(seq int) {
 
 // Len returns the number of live (non-zero) entries.
 func (u *seqCounts) Len() int { return u.live + len(u.overflow) }
-
-// getPOBuf takes a pendingOut buffer from the engine's free list; the
-// buffers cycle through attached-output staging and are recycled once
-// their outputs release.
-func (e *Engine) getPOBuf() []pendingOut {
-	if n := len(e.poFree); n > 0 {
-		buf := e.poFree[n-1]
-		e.poFree[n-1] = nil
-		e.poFree = e.poFree[:n-1]
-		return buf
-	}
-	return nil
-}
-
-// putPOBuf recycles a pendingOut buffer after its outputs were released.
-// Entries are zeroed so recycled buffers do not pin released tuples.
-func (e *Engine) putPOBuf(buf []pendingOut) {
-	if cap(buf) == 0 || len(e.poFree) >= 32 {
-		return
-	}
-	e.poFree = append(e.poFree, clearPending(buf))
-}
 
 // clearPending zeroes a pendingOut buffer and truncates it, so reused
 // capacity does not pin released tuples or destination lists.

@@ -52,12 +52,12 @@ type DC struct {
 	lastRef float64 // signal value of the last reference
 	ordinal int     // ordinal of the next set to close
 
-	// Open set state (dcInRef). members is handed off to the closed
-	// CandidateSet, so it is reallocated per set; the tentative buffer is
-	// recycled in place.
-	refTuple *tuple.Tuple
-	refVal   float64
-	members  []*tuple.Tuple
+	// Open set state (dcInRef). cur is the open set itself, taken from
+	// the free list when the reference arrives and handed off whole at
+	// closure; the tentative buffer is recycled in place.
+	refVal float64
+	cur    *CandidateSet
+	sets   setPool
 
 	// Tentative buffer (dcSeekRef).
 	tentative []*tuple.Tuple
@@ -176,7 +176,7 @@ func (f *DC) Process(t *tuple.Tuple) (Event, error) {
 	switch f.phase {
 	case dcInRef:
 		if math.Abs(v-f.refVal) <= f.curSlack {
-			f.members = append(f.members, t)
+			f.cur.Members = append(f.cur.Members, t)
 			return Event{Admitted: true}, nil
 		}
 		// Violation: close the set, then re-process this tuple in the
@@ -235,34 +235,27 @@ func (f *DC) seek(t *tuple.Tuple, v float64) Event {
 	return Event{Dismissed: dismissed}
 }
 
-// openSet starts the open candidate set around reference t. The members
-// slice is freshly sized because it is handed off to the closed
-// CandidateSet; the tentative buffer is recycled.
+// openSet starts the open candidate set around reference t; the tentative
+// buffer is recycled.
 func (f *DC) openSet(ref *tuple.Tuple, refVal float64, kept []*tuple.Tuple) {
 	f.phase = dcInRef
 	f.curSlack = f.slack * f.scale
-	f.refTuple, f.refVal = ref, refVal
-	f.members = make([]*tuple.Tuple, 0, len(kept)+1)
-	f.members = append(append(f.members, kept...), ref)
+	f.refVal = refVal
+	f.cur = f.sets.take(len(kept) + 1)
+	f.cur.Reference = ref
+	f.cur.Members = append(append(f.cur.Members, kept...), ref)
 	f.tentative, f.tentVals = f.tentative[:0], f.tentVals[:0]
 }
 
 // closeSet finalizes the open set and transitions to seeking the next
 // reference.
 func (f *DC) closeSet(byCut bool) *CandidateSet {
-	cs := &CandidateSet{
-		Owner:       f.id,
-		Ordinal:     f.ordinal,
-		Members:     f.members,
-		Reference:   f.refTuple,
-		PickDegree:  1,
-		ClosedByCut: byCut,
-	}
+	cs := f.cur
+	cs.Owner, cs.Ordinal, cs.PickDegree, cs.ClosedByCut = f.id, f.ordinal, 1, byCut
 	f.ordinal++
 	f.lastRef = f.refVal
 	f.phase = dcSeekRef
-	f.refTuple = nil
-	f.members = nil
+	f.cur = nil
 	return cs
 }
 
@@ -291,8 +284,8 @@ func (f *DC) Reset() {
 	f.phase = dcSeekRef
 	f.lastRef = 0
 	f.ordinal = 0
-	f.refTuple = nil
-	f.members = nil
+	f.cur = nil
+	f.sets = setPool{}
 	f.tentative, f.tentVals = nil, nil
 }
 

@@ -50,6 +50,12 @@ func (p Prescription) String() string {
 // CandidateSet is the set of quality-equivalent tuples for one output a
 // filter owes its application (§2.2.3). Choosing any PickDegree tuples from
 // Eligible() satisfies the filter.
+//
+// Ownership: a filter hands a set over when it closes it (Event.Closed,
+// Cut) and keeps no reference. Whoever received it may hold it for as long
+// as it likes; a coordinating engine calls Recycle once the set's region
+// is decided and released, after which the pointer and its Members array
+// belong to the filter again and must not be read.
 type CandidateSet struct {
 	// Owner is the ID of the filter that produced the set.
 	Owner string
@@ -71,6 +77,60 @@ type CandidateSet struct {
 	RestrictAttr int
 	// ClosedByCut records that a timely cut (§3.3) forced the closure.
 	ClosedByCut bool
+
+	// The fields below are the coordinating engine's per-set bookkeeping,
+	// carried on the set so the engine keeps no map keyed by set pointer.
+	// Filters leave them zero.
+
+	// Accounted records that the members' group-utility contribution has
+	// been removed.
+	Accounted bool
+	// Decided records that outputs were chosen before the set's region
+	// closed (PS sets and stateful sets); Picks are those outputs.
+	Decided bool
+	Picks   []*tuple.Tuple
+
+	// home is the free list of the filter that built the set; nil for
+	// sets built any other way, which Recycle leaves to the collector.
+	home *setPool
+}
+
+// maxFreeSets bounds a filter's free list. A filter has one open set and
+// the engine a region's worth of closed ones, so a few dozen cover the
+// steady state; a burst beyond that goes back to the collector.
+const maxFreeSets = 64
+
+// setPool is one filter's free list of candidate sets. It is not shared:
+// the filter takes from it when a set opens and the engine that owns the
+// filter puts sets back, both under the engine's serialization.
+type setPool struct {
+	free []*CandidateSet
+}
+
+// take returns an empty set for the filter's next open set: a recycled one
+// with whatever Members capacity it had, else a fresh one with room for n.
+func (p *setPool) take(n int) *CandidateSet {
+	if k := len(p.free); k > 0 {
+		cs := p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+		return cs
+	}
+	return &CandidateSet{Members: make([]*tuple.Tuple, 0, n), home: p}
+}
+
+// Recycle hands the set and its Members and Picks arrays back to the
+// filter that built it. The caller must hold the only reference; the set
+// is emptied, so recycled memory pins no tuple.
+func (cs *CandidateSet) Recycle() {
+	p := cs.home
+	if p == nil || len(p.free) >= maxFreeSets {
+		return
+	}
+	clear(cs.Members)
+	clear(cs.Picks)
+	*cs = CandidateSet{Members: cs.Members[:0], Picks: cs.Picks[:0], home: p}
+	p.free = append(p.free, cs)
 }
 
 // MinTS returns the earliest member timestamp; the lower bound of the

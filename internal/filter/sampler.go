@@ -30,8 +30,11 @@ type SS struct {
 
 	segStartSet bool
 	segStart    time.Time
-	members     []*tuple.Tuple
 	minV, maxV  float64
+	// cur is the open segment, taken from the free list at its first
+	// tuple and handed off whole at closure.
+	cur  *CandidateSet
+	sets setPool
 }
 
 var _ Filter = (*SS)(nil)
@@ -96,8 +99,9 @@ func (f *SS) Process(t *tuple.Tuple) (Event, error) {
 		f.segStart = t.TS
 		f.segStartSet = true
 		f.minV, f.maxV = v, v
+		f.cur = f.sets.take(0)
 	}
-	f.members = append(f.members, t)
+	f.cur.Members = append(f.cur.Members, t)
 	f.minV = math.Min(f.minV, v)
 	f.maxV = math.Max(f.maxV, v)
 	return Event{Admitted: true, Closed: closed}, nil
@@ -110,7 +114,8 @@ func (f *SS) closeSegment(byCut bool) *CandidateSet {
 	if f.maxV-f.minV >= f.threshold {
 		rate = f.highPct
 	}
-	n := len(f.members)
+	cs := f.cur
+	n := len(cs.Members)
 	k := int(math.Round(float64(n) * rate / 100))
 	if k < 1 {
 		k = 1
@@ -118,24 +123,17 @@ func (f *SS) closeSegment(byCut bool) *CandidateSet {
 	if k > n {
 		k = n
 	}
-	cs := &CandidateSet{
-		Owner:        f.id,
-		Ordinal:      f.ordinal,
-		Members:      f.members,
-		PickDegree:   k,
-		Restrict:     f.prescription,
-		RestrictAttr: f.idx,
-		ClosedByCut:  byCut,
-	}
+	cs.Owner, cs.Ordinal, cs.PickDegree, cs.ClosedByCut = f.id, f.ordinal, k, byCut
+	cs.Restrict, cs.RestrictAttr = f.prescription, f.idx
 	f.ordinal++
-	f.members = nil
+	f.cur = nil
 	f.segStartSet = false
 	return cs
 }
 
 // Cut implements Filter: it closes the current partial segment.
 func (f *SS) Cut() (*CandidateSet, []*tuple.Tuple) {
-	if len(f.members) == 0 {
+	if f.cur == nil {
 		return nil, nil
 	}
 	return f.closeSegment(true), nil
@@ -145,7 +143,8 @@ func (f *SS) Cut() (*CandidateSet, []*tuple.Tuple) {
 func (f *SS) Reset() {
 	f.bound, f.segStartSet = false, false
 	f.ordinal = 0
-	f.members = nil
+	f.cur = nil
+	f.sets = setPool{}
 }
 
 // SelfInterested implements Filter: the baseline samples each segment on

@@ -32,8 +32,10 @@ type StatefulDC struct {
 
 	open     bool
 	firstSet bool // the initial set anchors on the first tuple like stateless DC
-	refTuple *tuple.Tuple
-	members  []*tuple.Tuple
+	// cur is the open set, taken from the free list at its first member
+	// and handed off whole at closure.
+	cur  *CandidateSet
+	sets setPool
 
 	// pending is the tuple that closed the last set; it is re-evaluated
 	// once the chosen output is observed, because it may belong to the
@@ -91,9 +93,8 @@ func (f *StatefulDC) Process(t *tuple.Tuple) (Event, error) {
 		// the contiguous run within slack of it.
 		f.started = true
 		f.base = v
-		f.open, f.firstSet = true, true
-		f.refTuple = t
-		f.members = []*tuple.Tuple{t}
+		f.firstSet = true
+		f.openSet(t)
 		return Event{Admitted: true}, nil
 	}
 	if f.open {
@@ -102,7 +103,7 @@ func (f *StatefulDC) Process(t *tuple.Tuple) (Event, error) {
 			ok = math.Abs(v-f.base) <= f.slack
 		}
 		if ok {
-			f.members = append(f.members, t)
+			f.cur.Members = append(f.cur.Members, t)
 			return Event{Admitted: true}, nil
 		}
 		// Out of band: close the set and park the tuple until the
@@ -119,16 +120,12 @@ func (f *StatefulDC) Process(t *tuple.Tuple) (Event, error) {
 // admitOrOvershoot handles a tuple arriving while no set is open.
 func (f *StatefulDC) admitOrOvershoot(t *tuple.Tuple, v float64) Event {
 	if f.inBand(v) {
-		f.open = true
-		f.refTuple = t
-		f.members = []*tuple.Tuple{t}
+		f.openSet(t)
 		return Event{Admitted: true}
 	}
 	if math.Abs(v-f.base) > f.delta+f.slack {
 		// Jumped over the band: owe the application a singleton set.
-		f.open = true
-		f.refTuple = t
-		f.members = []*tuple.Tuple{t}
+		f.openSet(t)
 		closed := f.closeSet(false)
 		// The set is closed immediately; the tuple is consumed, so
 		// nothing is pending.
@@ -137,20 +134,21 @@ func (f *StatefulDC) admitOrOvershoot(t *tuple.Tuple, v float64) Event {
 	return Event{}
 }
 
+// openSet starts the open set with its first member, the set's reference.
+func (f *StatefulDC) openSet(t *tuple.Tuple) {
+	f.open = true
+	f.cur = f.sets.take(1)
+	f.cur.Reference = t
+	f.cur.Members = append(f.cur.Members, t)
+}
+
 // closeSet finalizes the open set.
 func (f *StatefulDC) closeSet(byCut bool) *CandidateSet {
-	cs := &CandidateSet{
-		Owner:       f.id,
-		Ordinal:     f.ordinal,
-		Members:     f.members,
-		Reference:   f.refTuple,
-		PickDegree:  1,
-		ClosedByCut: byCut,
-	}
+	cs := f.cur
+	cs.Owner, cs.Ordinal, cs.PickDegree, cs.ClosedByCut = f.id, f.ordinal, 1, byCut
 	f.ordinal++
 	f.open, f.firstSet = false, false
-	f.refTuple = nil
-	f.members = nil
+	f.cur = nil
 	return cs
 }
 
@@ -189,8 +187,8 @@ func (f *StatefulDC) Reset() {
 	f.sig.Reset()
 	f.started, f.open, f.firstSet, f.baseSet, f.hasPending = false, false, false, false, false
 	f.base, f.ordinal = 0, 0
-	f.refTuple, f.pending = nil, nil
-	f.members = nil
+	f.cur, f.pending = nil, nil
+	f.sets = setPool{}
 }
 
 // SelfInterested implements Filter: the baseline selects the first tuple,
