@@ -215,8 +215,9 @@ func BenchmarkGreedyHittingSet(b *testing.B) {
 	}
 }
 
-// BenchmarkMulticastDissemination measures the Solar dissemination path:
-// engine transmissions pushed through a 7-node multicast tree.
+// BenchmarkMulticastDissemination measures the simulated dissemination
+// path of Fig 13: engine transmissions pushed through a 7-node multicast
+// tree.
 func BenchmarkMulticastDissemination(b *testing.B) {
 	sr := benchSeries(b, 1000)
 	res, err := gasf.Run(benchFilters(b, sr, 3), sr, gasf.Options{Algorithm: gasf.RG})

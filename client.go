@@ -2,6 +2,7 @@ package gasf
 
 import (
 	"gasf/internal/server"
+	"gasf/internal/session"
 )
 
 // Networked client API: Client dials a gasf-server and opens publisher
@@ -92,7 +93,7 @@ const (
 
 // ParsePolicy reads a slow-consumer policy name ("block", "drop" or
 // "degrade").
-func ParsePolicy(s string) (SlowPolicy, error) { return server.ParsePolicy(s) }
+func ParsePolicy(s string) (SlowPolicy, error) { return session.ParsePolicy(s) }
 
 // StartServer starts an embedded streaming server; useful for tests and
 // single-process deployments.

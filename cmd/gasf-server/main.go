@@ -50,6 +50,7 @@ import (
 	"gasf/internal/federate"
 	"gasf/internal/seglog"
 	"gasf/internal/server"
+	"gasf/internal/session"
 )
 
 func main() {
@@ -105,7 +106,7 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q (want RG or PS)", *alg)
 	}
-	pol, err := server.ParsePolicy(*policy)
+	pol, err := session.ParsePolicy(*policy)
 	if err != nil {
 		return err
 	}
@@ -145,7 +146,7 @@ func run(args []string) error {
 	}
 
 	srv, err := server.Start(server.Config{
-		Addr:                 *addr,
+		Addr: *addr,
 		Federation: server.FederationConfig{
 			Role:  fedRole,
 			Self:  *self,

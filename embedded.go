@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gasf/internal/broker"
+	"gasf/internal/session"
 )
 
 // Embedded is the in-process Broker implementation: sources and
@@ -27,18 +28,11 @@ func NewEmbedded(opts ...Option) (*Embedded, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol := broker.Block
-	switch cfg.policy {
-	case PolicyDrop:
-		pol = broker.Drop
-	case PolicyDegrade:
-		pol = broker.Degrade
-	}
-	b, err := broker.New(broker.Config{
+	b, err := broker.New(session.Config{
 		Engine:               cfg.engine,
 		SubscriberQueue:      cfg.subQueue,
 		MaxSubscriberQueue:   cfg.maxSubQueue,
-		Policy:               pol,
+		Policy:               cfg.policy,
 		EvictAfterDrops:      cfg.evictAfterDrops,
 		DataDir:              cfg.dataDir,
 		Seglog:               cfg.seglog,

@@ -1,16 +1,15 @@
 // Emergency response: the chlorine train-derailment scenario of §5.5.1.
 //
 // A chlorine-concentration source (Gaussian-puff plume model) streams
-// readings at 10 tuples/s over a 7-node wireless mesh overlay formed by
-// fire trucks, police cars and ambulances. Three command-and-control
-// applications subscribe with different granularity needs:
+// readings at 10 tuples/s. Three command-and-control applications
+// subscribe with different granularity needs:
 //
 //   - fire-prediction wants fine-grained concentration updates,
 //   - responder-safety wants medium granularity with tight timeliness
 //     (timely cuts bound its delay),
 //   - situation-assessment tolerates coarse updates.
 //
-// The group-aware filtering service deployed on the source node multiplexes
+// The group-aware filtering service — an embedded broker here — multiplexes
 // the three filters' outputs for tuple-level multicast; the example reports
 // the bandwidth spent versus self-interested filtering.
 //
@@ -19,37 +18,28 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"sync"
 	"time"
 
 	"gasf"
-	"gasf/internal/core"
-	"gasf/internal/overlay"
-	"gasf/internal/solar"
 	"gasf/internal/trace"
-	"gasf/internal/tuple"
 )
 
 const sourceName = "chlorine/downtown"
 
-func buildFilters(stat float64) ([]gasf.Filter, error) {
-	// Granularity derived from the source's observed variability,
-	// the way the paper's §4.3 derives deltas from srcStatistics.
-	fire, err := gasf.NewDCFilter("fire-prediction", "chlorine", 4*stat, 2*stat)
-	if err != nil {
-		return nil, err
-	}
-	safety, err := gasf.NewDCFilter("responder-safety", "chlorine", 5.5*stat, 2.75*stat)
-	if err != nil {
-		return nil, err
-	}
-	situation, err := gasf.NewDCFilter("situation-assessment", "chlorine", 7*stat, 3.5*stat)
-	if err != nil {
-		return nil, err
-	}
-	return []gasf.Filter{fire, safety, situation}, nil
+// apps are the three subscribers with their granularity (delta, slack) in
+// units of the source's observed variability, the way the paper's §4.3
+// derives deltas from srcStatistics.
+var apps = []struct {
+	name         string
+	delta, slack float64
+}{
+	{"fire-prediction", 4, 2},
+	{"responder-safety", 5.5, 2.75},
+	{"situation-assessment", 7, 3.5},
 }
 
 func main() {
@@ -67,86 +57,70 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Mesh overlay: routers on the emergency vehicles.
-	net, err := overlay.New(overlay.Config{Nodes: 7, Seed: 3,
-		Link: overlay.Link{Delay: 8 * time.Millisecond, Bandwidth: 1e6}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sys, err := solar.NewSystem(net)
-	if err != nil {
-		log.Fatal(err)
-	}
 	// Responder safety is latency-critical: bound the filtering delay
 	// with timely cuts at 3 s (loose enough to keep candidate sets —
 	// and their bandwidth savings — intact; see Fig 4.12's trade-off).
-	err = sys.RegisterSource(sourceName, net.NodeByIndex(0), core.Options{
-		Algorithm: core.RG,
-		Cuts:      true,
-		MaxDelay:  3 * time.Second,
-	})
+	ctx := context.Background()
+	b, err := gasf.NewEmbedded(gasf.WithAlgorithm(gasf.RG), gasf.WithCuts(3*time.Second))
 	if err != nil {
 		log.Fatal(err)
 	}
-	filters, err := buildFilters(stat)
+	src, err := b.OpenSource(ctx, sourceName, series.Schema())
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, f := range filters {
-		err := sys.Subscribe(sourceName, solar.Subscription{
-			App: f.ID(), Node: net.NodeByIndex(i + 2), Filter: f,
-		})
+	var wg sync.WaitGroup
+	perApp := make([]int, len(apps))
+	for i, app := range apps {
+		spec := fmt.Sprintf("DC1(chlorine, %g, %g)", app.delta*stat, app.slack*stat)
+		sub, err := b.Subscribe(ctx, app.name, sourceName, spec)
 		if err != nil {
 			log.Fatal(err)
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if _, err := sub.Recv(ctx); errors.Is(err, gasf.ErrStreamEnded) {
+					return
+				} else if err != nil {
+					log.Fatal(err)
+				}
+				perApp[i]++
+			}
+		}()
 	}
-	if err := sys.Deploy(); err != nil {
+
+	// Stream the plume through the group.
+	if err := src.PublishBatch(ctx, series.Tuples()); err != nil {
+		log.Fatal(err)
+	}
+	if err := src.Finish(ctx); err != nil {
+		log.Fatal(err)
+	}
+	wg.Wait()
+	if err := b.Close(ctx); err != nil {
 		log.Fatal(err)
 	}
 
-	// Stream the plume live through the mesh.
-	in := make(chan *tuple.Tuple, 64)
-	replayer := &trace.Replayer{Series: series}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	go func() {
-		if err := replayer.Run(ctx, in); err != nil {
-			log.Printf("replay: %v", err)
-		}
-	}()
-
-	var mu sync.Mutex
-	perApp := make(map[string]int)
-	var worstLatency time.Duration
-	err = sys.Serve(ctx, map[string]<-chan *tuple.Tuple{sourceName: in}, func(d solar.Delivery) {
-		mu.Lock()
-		defer mu.Unlock()
-		perApp[d.App]++
-		if d.Latency > worstLatency {
-			worstLatency = d.Latency
-		}
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	res := sys.Results()[sourceName]
+	res := b.Results()[sourceName]
 	fmt.Printf("chlorine plume: %d readings streamed (srcStatistics %.3f)\n", series.Len(), stat)
 	fmt.Printf("group-aware output: %d distinct tuples (O/I %.3f), %d regions (%d cut)\n",
 		res.Stats.DistinctOutputs, res.Stats.OIRatio(), res.Stats.Regions, res.Stats.RegionsCut)
-	for app, n := range perApp {
-		fmt.Printf("  %-22s received %4d updates\n", app, n)
+	for i, app := range apps {
+		fmt.Printf("  %-22s received %4d updates\n", app.name, perApp[i])
 	}
-	fmt.Printf("worst delivery latency: %v (cut budget 3s + mesh hops)\n", worstLatency)
-	fmt.Printf("mesh traffic: %d bytes on links, %d bytes on the wireless medium\n",
-		sys.Accounting().TotalBytes(), sys.Accounting().WirelessBytes())
 
-	// Compare with self-interested filtering over the same mesh.
-	siFilters, err := buildFilters(stat)
-	if err != nil {
-		log.Fatal(err)
+	// Compare with self-interested filtering of the same stream.
+	var filters []gasf.Filter
+	for _, app := range apps {
+		f, err := gasf.NewDCFilter(app.name, "chlorine", app.delta*stat, app.slack*stat)
+		if err != nil {
+			log.Fatal(err)
+		}
+		filters = append(filters, f)
 	}
-	si, err := core.RunSelfInterested(siFilters, series, core.Options{})
+	si, err := gasf.RunSelfInterested(filters, series, gasf.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

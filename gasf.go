@@ -32,9 +32,9 @@
 // The facade re-exports the stable pieces of the internal packages: the
 // tuple/stream model, the filter family (DC1/DC2/DC3, stratified sampling,
 // stateful DC), the coordination engine with its algorithms (RG, PS),
-// timely cuts and output strategies, the trace generators used in the
-// paper's evaluation, and the Solar-style dissemination layer. See
-// DESIGN.md for the architecture (§10 covers the broker layering) and
+// timely cuts and output strategies, and the trace generators used in
+// the paper's evaluation. See DESIGN.md for the architecture (§7 covers
+// the session core and its two transports, §10 the broker API) and
 // EXPERIMENTS.md for the reproduction results.
 package gasf
 
@@ -51,6 +51,7 @@ import (
 	"gasf/internal/core"
 	"gasf/internal/filter"
 	"gasf/internal/quality"
+	"gasf/internal/session"
 	"gasf/internal/shard"
 	"gasf/internal/telemetry"
 	"gasf/internal/trace"
@@ -267,7 +268,7 @@ func runEmbeddedBatch(groups map[string][]Filter, series map[string]*tuple.Serie
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	b, err := broker.New(broker.Config{Engine: opts})
+	b, err := broker.New(session.Config{Engine: opts})
 	if err != nil {
 		return nil, nil, fmt.Errorf("gasf: %w", err)
 	}

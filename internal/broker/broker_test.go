@@ -8,6 +8,7 @@ import (
 
 	"gasf/internal/core"
 	"gasf/internal/quality"
+	"gasf/internal/session"
 	"gasf/internal/trace"
 	"gasf/internal/tuple"
 )
@@ -53,7 +54,7 @@ func publishSeq(t *testing.T, ctx context.Context, src *Source, start, n int) {
 // and a graceful finish that ends every stream.
 func TestPubSubChurn(t *testing.T) {
 	ctx := testCtx(t)
-	b, err := New(Config{})
+	b, err := New(session.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestPubSubChurn(t *testing.T) {
 // oversized requests clamp to the configured maximum.
 func TestQueueDepthPropagation(t *testing.T) {
 	ctx := testCtx(t)
-	b, err := New(Config{SubscriberQueue: 7, MaxSubscriberQueue: 100})
+	b, err := New(session.Config{SubscriberQueue: 7, MaxSubscriberQueue: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestQueueDepthPropagation(t *testing.T) {
 // counted, while the publisher is never stalled.
 func TestDropPolicy(t *testing.T) {
 	ctx := testCtx(t)
-	b, err := New(Config{Policy: Drop})
+	b, err := New(session.Config{Policy: session.Drop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestDropPolicy(t *testing.T) {
 // networked server.
 func TestSubscribeValidation(t *testing.T) {
 	ctx := testCtx(t)
-	b, err := New(Config{})
+	b, err := New(session.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestSubscribeValidation(t *testing.T) {
 // strictly increasing timestamps, as on the wire.
 func TestPublishValidation(t *testing.T) {
 	ctx := testCtx(t)
-	b, err := New(Config{})
+	b, err := New(session.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,17 +269,15 @@ func TestPublishValidation(t *testing.T) {
 }
 
 // TestBlockEvictionUnwedgesGracefulClose proves an abandoned blocking
-// subscription cannot wedge the broker forever: after EvictTimeout the
+// subscription cannot wedge the broker forever: after evictTimeout the
 // subscriber is treated as departed, the worker resumes, and a graceful
 // Close with an unbounded context completes. The active subscriber is
 // undisturbed.
 func TestBlockEvictionUnwedgesGracefulClose(t *testing.T) {
 	ctx := testCtx(t)
-	b, err := New(Config{
-		Policy:       Block,
-		EvictTimeout: 100 * time.Millisecond,
-		Engine:       core.Options{ShardCount: 1},
-	})
+	evictTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { evictTimeout = 10 * time.Second })
+	b, err := New(session.Config{Policy: session.Block, Engine: core.Options{ShardCount: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +333,7 @@ func TestBlockEvictionUnwedgesGracefulClose(t *testing.T) {
 // a blocking subscriber that nobody consumes: the worker parked on the
 // full queue is released and Close returns within the context bound.
 func TestCloseAbortUnblocks(t *testing.T) {
-	b, err := New(Config{Policy: Block, Engine: core.Options{ShardCount: 1}})
+	b, err := New(session.Config{Policy: session.Block, Engine: core.Options{ShardCount: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +359,7 @@ func TestCloseAbortUnblocks(t *testing.T) {
 // stream ends), while a source that keeps publishing — and one parked
 // at Sync barriers — survive.
 func TestSourceEviction(t *testing.T) {
-	b, err := New(Config{
+	b, err := New(session.Config{
 		Engine:        core.Options{ShardCount: 1},
 		SourceTimeout: 150 * time.Millisecond,
 		ScanInterval:  20 * time.Millisecond,
@@ -419,7 +418,7 @@ func TestSourceEviction(t *testing.T) {
 	if got == 0 {
 		t.Error("published deliveries lost to eviction")
 	}
-	if n := b.Evicted(); n != 1 {
+	if n := b.Stats().SourcesExpired; n != 1 {
 		t.Errorf("Evicted = %d, want 1 (only the silent source)", n)
 	}
 	// Survivors still work.

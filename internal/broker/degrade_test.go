@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gasf/internal/adapt"
+	"gasf/internal/session"
 	"gasf/internal/trace"
 	"gasf/internal/tuple"
 	"gasf/internal/wire"
@@ -89,7 +90,7 @@ func TestDegradeRestoreEquivalence(t *testing.T) {
 
 	// Degrade run: the publish schedule is recorded so the reference run
 	// can replay the identical series.
-	b, err := New(Config{Policy: Degrade, Degrade: gcfg})
+	b, err := New(session.Config{Policy: session.Degrade, Degrade: gcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +131,23 @@ func TestDegradeRestoreEquivalence(t *testing.T) {
 	// any filter state, resynchronizing degraded and never-degraded runs.
 	const fenceVal = 1e6
 	const tail = 150
-	publishVal(t, ctx, src, n1, fenceVal)
-	for j := 1; j <= tail; j++ {
+	// From the fence on the run must not build pressure of its own — a
+	// re-degrade there would be the governor working, not residue. A
+	// publish only reaches the shard ring, so pacing on the queue is not
+	// enough: each publish (which releases its predecessor) waits for the
+	// consumer to have received the release before it.
+	received := func(seq int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(*recs) > 0 && (*recs)[len(*recs)-1].seq >= seq
+	}
+	for j := 0; j <= tail; j++ {
+		// The fence and everything after it is released at any scale one
+		// publish later; a wait that times out means the run re-degraded,
+		// which the comparison below reports.
+		for patience := time.Now().Add(5 * time.Second); j >= 2 && !received(n1+j-2) && time.Now().Before(patience); {
+			time.Sleep(50 * time.Microsecond)
+		}
 		publishVal(t, ctx, src, n1+j, fenceVal+float64(j))
 	}
 	if err := src.Finish(ctx); err != nil {
@@ -144,7 +160,7 @@ func TestDegradeRestoreEquivalence(t *testing.T) {
 
 	// Reference run: a block broker replays the identical series with a
 	// prompt consumer — the never-degraded baseline.
-	b2, err := New(Config{})
+	b2, err := New(session.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +221,7 @@ func TestDegradeChurnScaleConsistency(t *testing.T) {
 		Cooldown:     time.Millisecond,
 		RestoreAfter: 10 * time.Millisecond,
 	}
-	b, err := New(Config{Policy: Degrade, Degrade: gcfg})
+	b, err := New(session.Config{Policy: session.Degrade, Degrade: gcfg})
 	if err != nil {
 		t.Fatal(err)
 	}

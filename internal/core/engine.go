@@ -16,8 +16,8 @@ import (
 // tuples, the current region of connected candidate sets, decided outputs,
 // and the output scheduler.
 //
-// An Engine is single-source and not safe for concurrent use; the Solar
-// layer runs one engine per source node.
+// An Engine is single-source and not safe for concurrent use; the shard
+// runtime runs one engine per source, on the source's owning worker.
 //
 // What a Step allocates is what the result retains — one destination list
 // per transmission, plus the amortized growth of Result's slices — and

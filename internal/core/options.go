@@ -123,9 +123,7 @@ type Options struct {
 
 	// The following knobs configure the sharded multi-source runtime
 	// (internal/shard) layered above single-source engines. They do not
-	// affect a single Engine; the solar layer derives its system-wide
-	// runtime configuration from them by taking the maximum across the
-	// registered sources.
+	// affect a single Engine; shard.FromOptions reads them.
 
 	// ShardCount is the number of worker shards sources are
 	// hash-partitioned onto; 0 means GOMAXPROCS.

@@ -32,7 +32,6 @@ type Accounting struct {
 	mu        sync.Mutex
 	messages  map[LinkKey]int
 	bytes     map[LinkKey]int64
-	nodeSends map[overlay.NodeID]int
 	nodeBytes map[overlay.NodeID]int64
 }
 
@@ -41,7 +40,6 @@ func NewAccounting() *Accounting {
 	return &Accounting{
 		messages:  make(map[LinkKey]int),
 		bytes:     make(map[LinkKey]int64),
-		nodeSends: make(map[overlay.NodeID]int),
 		nodeBytes: make(map[overlay.NodeID]int64),
 	}
 }
@@ -56,7 +54,6 @@ func (a *Accounting) add(k LinkKey, sizeBytes int) {
 func (a *Accounting) addSend(n overlay.NodeID, sizeBytes int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.nodeSends[n]++
 	a.nodeBytes[n] += int64(sizeBytes)
 }
 
@@ -70,14 +67,6 @@ func (a *Accounting) WirelessBytes() int64 {
 		total += b
 	}
 	return total
-}
-
-// NodeSends returns the number of medium transmissions by one node (the
-// source node's count is the group's total output demand).
-func (a *Accounting) NodeSends(n overlay.NodeID) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.nodeSends[n]
 }
 
 // TotalMessages returns the number of link crossings recorded.
@@ -202,12 +191,6 @@ func BuildTree(net *overlay.Network, root overlay.NodeID, subscribers map[string
 
 // Root returns the tree root.
 func (t *Tree) Root() overlay.NodeID { return t.root }
-
-// HasMember reports whether the application is a member of this tree.
-func (t *Tree) HasMember(app string) bool {
-	_, ok := t.memberNode[app]
-	return ok
-}
 
 // Members returns the subscriber IDs in sorted order.
 func (t *Tree) Members() []string {

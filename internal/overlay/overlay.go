@@ -14,7 +14,7 @@
 // fan-out on one edge with the same arithmetic. The simulation-only
 // ownership and delay-accounting paths that federate superseded are
 // gone from here; what remains is exactly what the in-process
-// simulations (multicast, solar, experiments) still route with.
+// simulations (multicast, experiments) still route with.
 package overlay
 
 import (

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gasf/internal/session"
 	"gasf/internal/tuple"
 	"gasf/internal/wire"
 )
@@ -731,14 +732,14 @@ func remoteError(payload []byte) error {
 // frame renders as "resume unavailable: detail", and rejectedError
 // re-types the payload by cutting that exact prefix. Match with
 // errors.Is, never by prose.
-var ErrResumeUnavailable = errors.New("resume unavailable")
+var ErrResumeUnavailable = session.ErrResumeUnavailable
 
 // ErrAlreadySubscribed reports a subscriber handshake rejected because
 // the (app, source) pair is already held by a live session. It is
 // transient while a departure ack is in flight, so dialers re-creating
 // a session for a departing one may retry it briefly. Tagged on the
 // wire exactly like ErrResumeUnavailable.
-var ErrAlreadySubscribed = errors.New("already subscribed")
+var ErrAlreadySubscribed = session.ErrAlreadySubscribed
 
 // rejectedError types a handshake rejection payload: resume and
 // subscription-conflict rejections carry their sentinel's message as a

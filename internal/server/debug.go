@@ -8,6 +8,7 @@ import (
 
 	"gasf/internal/federate"
 	"gasf/internal/flowgap"
+	"gasf/internal/session"
 	"gasf/internal/shard"
 	"gasf/internal/telemetry"
 )
@@ -95,71 +96,65 @@ func (s *Server) Debug() DebugInfo {
 		Now:      time.Now(),
 		Addr:     s.ln.Addr().String(),
 		Draining: s.isDraining(),
-		Durable:  s.log != nil,
+		Durable:  s.core.Log() != nil,
 		Policy:   s.cfg.Policy.String(),
 		Counters: s.Counters(),
-		Shards:   s.rt.Metrics(),
+		Shards:   s.core.Runtime().Metrics(),
 	}
 	if s.tel != nil {
 		snap := s.tel.Snapshot()
 		info.Telemetry = &snap
 	}
-	if s.wheel != nil {
+	wheel, log := s.core.Wheel(), s.core.Log()
+	if wheel != nil {
+		cc := s.core.Config()
 		fg := &DebugFlowGap{
-			ScanInterval:  s.cfg.ScanInterval,
-			SourceTimeout: s.cfg.SourceTimeout,
-			Wheel:         s.wheel.Stats(),
+			ScanInterval:  cc.ScanInterval,
+			SourceTimeout: cc.SourceTimeout,
+			Wheel:         wheel.Stats(),
 			Sketch:        s.sketch.Stats(),
 		}
 		lag := s.expiryLag.Snapshot()
 		fg.ExpiryLag = &lag
 		info.FlowGap = fg
 	}
-	s.mu.RLock()
-	for name, src := range s.sources {
+	s.core.Inspect(func(src *session.Source[*frameBatch], members map[string]*session.Member[*frameBatch]) {
 		d := DebugSource{
-			Name: name,
+			Name:   src.Name,
+			Remote: src.Owner.(*sourceSession).conn.RemoteAddr().String(),
 			// Liveness is tracked in wheel ticks; the instant shown is
 			// the start of the last-touch tick (zero when expiry is
 			// disabled and liveness untracked).
-			LastSeen:    s.wheel.TickTime(src.gap.LastTouch()),
-			Subscribers: len(s.subs[name]),
+			LastSeen:    wheel.TickTime(src.Gap.LastTouch()),
+			Subscribers: len(members),
 		}
-		if src.conn != nil {
-			d.Remote = src.conn.RemoteAddr().String()
+		if log != nil {
+			d.NextOffset = log.NextOffset(src.Name)
 		}
-		if s.log != nil {
-			d.NextOffset = s.log.NextOffset(name)
-		}
-		if src.lat != nil {
-			snap := src.lat.Snapshot()
+		if src.Lat != nil {
+			snap := src.Lat.Snapshot()
 			d.Latency = &snap
 		}
 		info.Sources = append(info.Sources, d)
-	}
-	for source, m := range s.subs {
-		for app, sub := range m {
+		for app, m := range members {
 			d := DebugSubscriber{
 				App:        app,
-				Source:     source,
-				QueueLen:   len(sub.out),
-				QueueCap:   cap(sub.out),
-				Dropped:    sub.droppedCount(),
-				Resume:     sub.resume,
-				ResumeFrom: sub.resumeFrom,
-				SpliceTo:   sub.spliceTo,
+				Source:     src.Name,
+				QueueLen:   len(m.Queue()),
+				QueueCap:   m.QueueCap(),
+				Dropped:    m.Dropped(),
+				Resume:     m.Resume,
+				ResumeFrom: m.ResumeFrom,
+				SpliceTo:   m.SpliceTo,
+				RelayEdge:  m.Peer.(*subscriber).relayEdge,
 			}
-			if sub.relayEdge != "" {
-				d.RelayEdge = sub.relayEdge
-			}
-			if sub.lat != nil {
-				snap := sub.lat.Snapshot()
+			if m.Lat != nil {
+				snap := m.Lat.Snapshot()
 				d.Latency = &snap
 			}
 			info.Subscribers = append(info.Subscribers, d)
 		}
-	}
-	s.mu.RUnlock()
+	})
 	if s.cfg.Federation.Role != federate.RoleSingle {
 		fed := &DebugFederation{
 			Role:  s.cfg.Federation.Role.String(),

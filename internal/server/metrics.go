@@ -9,17 +9,18 @@ import (
 	"sync/atomic"
 
 	"gasf/internal/federate"
+	"gasf/internal/session"
 	"gasf/internal/telemetry"
 )
 
-// counters is the server's atomic counter block.
+// counters is the server's atomic counter block; the lifecycle counts
+// the session core keeps (expiries, drops, evictions, degrade actions,
+// log append failures) are read from it, not duplicated here.
 type counters struct {
 	sourcesAccepted     atomic.Uint64
 	sourcesFinished     atomic.Uint64
-	sourcesExpired      atomic.Uint64
 	sourcesFailed       atomic.Uint64
 	subscribersAccepted atomic.Uint64
-	subscriberDrops     atomic.Uint64
 	handshakeRejects    atomic.Uint64
 	tuplesIn            atomic.Uint64
 	transmissionsOut    atomic.Uint64
@@ -27,7 +28,6 @@ type counters struct {
 	bytesIn             atomic.Uint64
 	bytesOut            atomic.Uint64
 	heartbeatsIn        atomic.Uint64
-	logAppendErrors     atomic.Uint64
 	replaysServed       atomic.Uint64
 	replayRecordsOut    atomic.Uint64
 	// Session closures split by cause (one increment per finished
@@ -39,10 +39,6 @@ type counters struct {
 	closedFinished   atomic.Uint64
 	gapReconnects    atomic.Uint64
 	gapNotifications atomic.Uint64
-	// Degrade-policy control actions and drop-threshold evictions.
-	qosDegrades         atomic.Uint64
-	qosRestores         atomic.Uint64
-	subscriberEvictions atomic.Uint64
 	// Federation: upstream-leg lifecycle on an edge (dials, redials,
 	// resumed redials, relayed transmission frames) and relay-leg
 	// sessions accepted on a core.
@@ -91,13 +87,12 @@ type Counters struct {
 
 // Counters snapshots the session counters.
 func (s *Server) Counters() Counters {
-	s.mu.RLock()
-	srcs := len(s.sources)
-	subs := 0
-	for _, m := range s.subs {
-		subs += len(m)
-	}
-	s.mu.RUnlock()
+	srcs, subs := 0, 0
+	s.core.Inspect(func(_ *session.Source[*frameBatch], members map[string]*session.Member[*frameBatch]) {
+		srcs++
+		subs += len(members)
+	})
+	st := s.core.Stats()
 	if s.fed != nil {
 		// Relay members live outside the registry (they share app names
 		// by design); the leg registry is their census.
@@ -109,10 +104,10 @@ func (s *Server) Counters() Counters {
 		SubscribersActive:   subs,
 		SourcesAccepted:     s.ctr.sourcesAccepted.Load(),
 		SourcesFinished:     s.ctr.sourcesFinished.Load(),
-		SourcesExpired:      s.ctr.sourcesExpired.Load(),
+		SourcesExpired:      st.SourcesExpired,
 		SourcesFailed:       s.ctr.sourcesFailed.Load(),
 		SubscribersAccepted: s.ctr.subscribersAccepted.Load(),
-		SubscriberDrops:     s.ctr.subscriberDrops.Load(),
+		SubscriberDrops:     st.Drops,
 		HandshakeRejects:    s.ctr.handshakeRejects.Load(),
 		TuplesIn:            s.ctr.tuplesIn.Load(),
 		TransmissionsOut:    s.ctr.transmissionsOut.Load(),
@@ -120,7 +115,7 @@ func (s *Server) Counters() Counters {
 		BytesIn:             s.ctr.bytesIn.Load(),
 		BytesOut:            s.ctr.bytesOut.Load(),
 		HeartbeatsIn:        s.ctr.heartbeatsIn.Load(),
-		LogAppendErrors:     s.ctr.logAppendErrors.Load(),
+		LogAppendErrors:     st.LogAppendErrors,
 		ReplaysServed:       s.ctr.replaysServed.Load(),
 		ReplayRecordsOut:    s.ctr.replayRecordsOut.Load(),
 		ClosedFlowGap:       s.ctr.closedFlowGap.Load(),
@@ -129,9 +124,9 @@ func (s *Server) Counters() Counters {
 		ClosedFinished:      s.ctr.closedFinished.Load(),
 		GapReconnects:       s.ctr.gapReconnects.Load(),
 		GapNotifications:    s.ctr.gapNotifications.Load(),
-		QoSDegrades:         s.ctr.qosDegrades.Load(),
-		QoSRestores:         s.ctr.qosRestores.Load(),
-		SubscriberEvictions: s.ctr.subscriberEvictions.Load(),
+		QoSDegrades:         st.Degrades,
+		QoSRestores:         st.Restores,
+		SubscriberEvictions: st.Evictions,
 		FedLegDials:         s.ctr.fedLegDials.Load(),
 		FedLegRedials:       s.ctr.fedLegRedials.Load(),
 		FedLegResumes:       s.ctr.fedLegResumes.Load(),
@@ -226,8 +221,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		}
 	}
 
-	if s.wheel != nil {
-		ws := s.wheel.Stats()
+	if wheel := s.core.Wheel(); wheel != nil {
+		ws := wheel.Stats()
 		x.Gauge("gasf_wheel_entries", "Sessions tracked by the flow-gap timer wheel.")
 		x.SampleU(uint64(ws.Entries))
 		x.Gauge("gasf_wheel_bucket_depth_max", "Deepest wheel bucket drained in one tick (high-water).")
@@ -251,7 +246,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 
 	// Per-shard runtime series: one family per metric, one labeled
 	// sample per shard, each family with its own HELP/TYPE metadata.
-	snaps := s.rt.Metrics()
+	snaps := s.core.Runtime().Metrics()
 	shardLabel := func(i int) telemetry.Label {
 		return telemetry.Label{Name: "shard", Value: fmt.Sprintf("%d", snaps[i].Shard)}
 	}
@@ -325,14 +320,12 @@ type groupLatency struct {
 // groupLatencies snapshots the per-source latency pairs in name order
 // (deterministic exposition).
 func (s *Server) groupLatencies() []groupLatency {
-	s.mu.RLock()
-	out := make([]groupLatency, 0, len(s.sources))
-	for name, src := range s.sources {
-		if src.lat != nil {
-			out = append(out, groupLatency{name: name, snap: src.lat.Snapshot()})
+	var out []groupLatency
+	s.core.Inspect(func(src *session.Source[*frameBatch], _ map[string]*session.Member[*frameBatch]) {
+		if src.Lat != nil {
+			out = append(out, groupLatency{name: src.Name, snap: src.Lat.Snapshot()})
 		}
-	}
-	s.mu.RUnlock()
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

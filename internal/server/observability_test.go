@@ -48,9 +48,11 @@ func TestMetricsStrictExposition(t *testing.T) {
 	// Scrape while the source session is still connected: the
 	// per-group latency series exists for live sources. The engine may
 	// hold back the final tuple until end-of-stream, so wait for all
-	// but the last delivery.
-	waitFor(t, "deliveries to flow", func() bool {
-		return s.Counters().DeliveriesOut >= uint64(sr.Len()-1)
+	// but the last delivery — and wait for it on the writer's side:
+	// DeliveriesOut counts the sink's enqueue, while the latency summary
+	// asserted below is fed only once the writer has written the frame.
+	waitFor(t, "deliveries to be written", func() bool {
+		return s.Telemetry().Delivery().Snapshot().Count >= uint64(sr.Len()-1)
 	})
 
 	code, body := get(t, s, "/metrics")

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -438,7 +437,7 @@ func (leg *relayLeg) fanout(kind byte, payload []byte, ts int64) {
 	for _, sub := range members {
 		batch := getBatch()
 		batch.frames = append(batch.frames, fr)
-		sub.sendBatch(batch)
+		leg.mgr.s.sendBatch(sub.m, batch)
 	}
 }
 
@@ -448,13 +447,8 @@ func (leg *relayLeg) forwardQoS(scale float64) {
 	members := append(leg.scratch[:0], leg.members...)
 	leg.scratch = members
 	leg.mu.Unlock()
-	bits := math.Float64bits(scale)
 	for _, sub := range members {
-		sub.qosScale.Store(bits)
-		select {
-		case sub.qosKick <- struct{}{}:
-		default:
-		}
+		sub.QoSApplied(scale)
 	}
 }
 
@@ -466,7 +460,7 @@ func (leg *relayLeg) finishMembers() {
 	members := append([]*subscriber(nil), leg.members...)
 	leg.mu.Unlock()
 	for _, sub := range members {
-		sub.finishStream()
+		sub.m.EndStream()
 	}
 }
 
@@ -588,7 +582,8 @@ func (m *relayMgr) counts() (legs, members int) {
 // upstream leg for its group and fans out from it. The handshake
 // answer is the core's own hello-ok schema, so clients cannot tell an
 // edge from a single-node broker.
-func (s *Server) serveEdgeSubscriber(conn net.Conn, h SubHello, spec quality.Spec) {
+func (s *Server) serveEdgeSubscriber(sub *subscriber, h SubHello, spec quality.Spec) {
+	conn := sub.conn
 	if h.Relay {
 		s.reject(conn, fmt.Errorf("edge node cannot serve a relay leg (relay hellos go to cores)"))
 		return
@@ -602,45 +597,26 @@ func (s *Server) serveEdgeSubscriber(conn net.Conn, h SubHello, spec quality.Spe
 		s.reject(conn, fmt.Errorf("%w: an edge node serves live streams only (its upstream leg resumes on the subscribers' behalf)", ErrResumeUnavailable))
 		return
 	}
-	if s.isDraining() {
-		s.reject(conn, errDraining)
-		return
-	}
-	queue := h.Queue
-	if queue <= 0 {
-		queue = s.cfg.SubscriberQueue
-	}
-	if queue > s.cfg.MaxSubscriberQueue {
-		queue = s.cfg.MaxSubscriberQueue
-	}
-	if s.cfg.SubscriberSendBuffer > 0 {
-		if tc, ok := conn.(*net.TCPConn); ok {
-			_ = tc.SetWriteBuffer(s.cfg.SubscriberSendBuffer)
-		}
-	}
 	// The canonical spec rendering is the dedup key: equivalent specs
 	// parse and re-render identically, so equal groups share one leg.
 	key := legKey{source: h.Source, app: h.App, spec: spec.String()}
-	var (
-		leg *relayLeg
-		sub *subscriber
-	)
 	for {
-		var err error
-		leg, err = s.fed.ensureLeg(key, queue)
+		// A leg created here asks the core for this member's queue depth
+		// (the hello's, after the edge's defaulting and clamping).
+		leg, err := s.fed.ensureLeg(key, sub.m.QueueCap())
 		if err != nil {
 			s.reject(conn, err)
 			return
 		}
-		sub = newSubscriber(s, h.App, h.Source, conn, queue)
 		sub.leg = leg
+		sub.m.OpenQueue() // the leg validated the group upstream; fan-out may now reach it
 		if leg.attach(sub) {
 			break
 		}
 		// The leg closed between lookup and attach (last member left);
 		// ensureLeg will wait out the teardown and dial a fresh one.
 	}
-	if err := WriteFrame(conn, FrameHelloOK, leg.schemaPayload); err != nil {
+	if err := WriteFrame(conn, FrameHelloOK, sub.leg.schemaPayload); err != nil {
 		s.removeSubscriber(sub)
 		conn.Close()
 		return

@@ -15,7 +15,7 @@ import (
 // TestHandshakeLatencyUnderIdleLoad pins the accept-path guarantee that
 // motivated the timer wheel: tracking a large idle population must not
 // stall new handshakes. 50k fake sessions are injected straight into
-// the registry and the wheel (net.Pipe, no file descriptors), and real
+// the core's registry and wheel (net.Pipe, no file descriptors), and real
 // TCP handshakes are timed while the scan loop runs over them. The old
 // O(n)-under-mutex gap scan made every handshake wait for a full
 // registry walk; the wheel touches only due buckets.
@@ -41,18 +41,17 @@ func TestHandshakeLatencyUnderIdleLoad(t *testing.T) {
 			c.Close()
 		}
 	})
-	s.mu.Lock()
 	for i := 0; i < idle; i++ {
 		client, srvEnd := net.Pipe()
 		pipes = append(pipes, client)
 		name := s.names.Intern(fmt.Sprintf("idle%d", i))
-		src := s.newSourceSession(name, srvEnd, schema)
-		s.sources[name] = src
-		s.sketch.Record(name, s.wheel.NowTick())
-		s.wheel.Add(&src.gap, src)
+		src := newSourceSession(name, srvEnd, schema)
+		if err := s.core.OpenSource(&src.Source); err != nil {
+			t.Fatal(err)
+		}
+		s.sketch.Record(name, s.core.Wheel().NowTick())
 	}
-	s.mu.Unlock()
-	if got := s.wheel.Size(); got != idle {
+	if got := s.core.Wheel().Size(); got != idle {
 		t.Fatalf("wheel tracks %d entries, want %d", got, idle)
 	}
 

@@ -10,7 +10,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,6 +21,7 @@ import (
 	"gasf/internal/intern"
 	"gasf/internal/quality"
 	"gasf/internal/seglog"
+	"gasf/internal/session"
 	"gasf/internal/shard"
 	"gasf/internal/telemetry"
 	"gasf/internal/tuple"
@@ -29,55 +29,15 @@ import (
 )
 
 // Policy selects how the server treats a subscriber whose bounded send
-// queue is full.
-type Policy int
+// queue is full; see session.Policy.
+type Policy = session.Policy
 
+// The slow-consumer policies, re-exported for Config.Policy.
 const (
-	// PolicyBlock applies backpressure: the shard worker waits for queue
-	// space, which eventually stalls the publishers feeding that shard.
-	// Nothing is lost; the slowest consumer paces its sources.
-	PolicyBlock Policy = iota
-	// PolicyDrop discards the delivery and counts it, keeping fast
-	// subscribers and publishers unaffected by a slow one.
-	PolicyDrop
-	// PolicyDegrade keeps PolicyBlock's zero-loss backpressure but adds
-	// a per-subscriber adaptive controller: under sustained queue
-	// pressure (or past the delivery-p99 watermark) a subscriber whose
-	// filter implements adapt.Scalable has its effective quality spec
-	// coarsened stepwise at tuple boundaries through the live control
-	// path, each change announced with a FrameQoS frame, and restored
-	// stepwise with hysteresis once pressure clears. A subscriber whose
-	// filter is not Scalable degrades to plain blocking.
-	PolicyDegrade
+	PolicyBlock   = session.Block
+	PolicyDrop    = session.Drop
+	PolicyDegrade = session.Degrade
 )
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case PolicyBlock:
-		return "block"
-	case PolicyDrop:
-		return "drop"
-	case PolicyDegrade:
-		return "degrade"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy reads a policy name ("block", "drop" or "degrade").
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "block":
-		return PolicyBlock, nil
-	case "drop":
-		return PolicyDrop, nil
-	case "degrade":
-		return PolicyDegrade, nil
-	default:
-		return 0, fmt.Errorf("server: unknown slow-consumer policy %q (want block, drop or degrade)", s)
-	}
-}
 
 // Config parameterizes a Server. The zero value listens on an ephemeral
 // loopback port with default engine options.
@@ -181,29 +141,11 @@ func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
 	}
-	if c.SubscriberQueue <= 0 {
-		c.SubscriberQueue = 256
-	}
-	if c.MaxSubscriberQueue <= 0 {
-		c.MaxSubscriberQueue = 65536
-	}
-	if c.SubscriberQueue > c.MaxSubscriberQueue {
-		c.MaxSubscriberQueue = c.SubscriberQueue
-	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 2 * time.Second
 	}
 	if c.SourceTimeout == 0 {
 		c.SourceTimeout = 30 * time.Second
-	}
-	if c.ScanInterval <= 0 && c.SourceTimeout > 0 {
-		c.ScanInterval = c.SourceTimeout / 8
-		if c.ScanInterval < 10*time.Millisecond {
-			c.ScanInterval = 10 * time.Millisecond
-		}
-		if c.ScanInterval > time.Second {
-			c.ScanInterval = time.Second
-		}
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
@@ -217,135 +159,84 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// session maps the transport's configuration onto the core's: the shared
+// subset verbatim, and this transport's fixed choices for the rest — no
+// block timeout (the writer's WriteTimeout ends a stuck session) and
+// labels rewritten in place (frames carry them encoded, nothing aliases
+// the slice).
+func (c Config) session(onExpire func(owner any, lag time.Duration)) session.Config {
+	return session.Config{
+		Engine:               c.Engine,
+		SubscriberQueue:      c.SubscriberQueue,
+		MaxSubscriberQueue:   c.MaxSubscriberQueue,
+		Policy:               c.Policy,
+		EvictAfterDrops:      c.EvictAfterDrops,
+		Degrade:              c.Degrade,
+		SourceTimeout:        c.SourceTimeout,
+		ScanInterval:         c.ScanInterval,
+		OnExpire:             onExpire,
+		DataDir:              c.DataDir,
+		Seglog:               c.Seglog,
+		TelemetrySampleEvery: c.TelemetrySampleEvery,
+	}
+}
+
 // errDraining rejects sessions arriving during shutdown.
 var errDraining = errors.New("server is draining")
 
-// sourceSession is one connected publisher. Sessions are pooled: at
-// million-source scale the churn of connect/expire cycles would
-// otherwise allocate a session, its sink caches and its latency pair
-// per reconnect.
+// sourceSession is one connected publisher: the core's half (name —
+// interned, so reconnect generations share one heap copy — schema,
+// flow-gap entry, fan-out view, group latency pair) plus the connection.
+// Sessions are pooled: at million-source scale the churn of
+// connect/expire cycles would otherwise allocate a session and its
+// fan-out caches per reconnect.
 type sourceSession struct {
-	// name is interned (Server.names): reconnect generations of the
-	// same source share one heap copy instead of retaining one each.
-	name   string
-	conn   net.Conn
-	schema *tuple.Schema
-	// gap is the session's entry in the flow-gap wheel: the last-seen
-	// tick (one atomic word, quantized to ScanInterval — no time.Time,
-	// no clock read on the hot path) plus the busy bit that marks a
-	// reader parked inside the runtime — a ring submit under
-	// backpressure or a Sync barrier awaiting its pong. A busy source
-	// publishes nothing by definition, so the flow-gap wheel must treat
-	// the state as liveness, not silence: reaping it mid-barrier would
-	// tear down a healthy session (and strand the client in Sync).
-	gap flowgap.Entry
+	session.Source[*frameBatch]
+	conn net.Conn
 	// expired marks that the gap detector closed the connection, so the
 	// reader attributes its exit correctly.
-	expired atomicFlag
-	// subEpoch counts subscriber-registry changes for this source; it is
-	// written under Server.mu and read under its read side. The sink's
-	// per-source caches are keyed by it, so a membership change can never
-	// serve stale targets or labels.
-	subEpoch uint64
-	// sink-side state, owned by the source's shard worker (sink calls for
-	// one source are serialized), so it needs no locking of its own.
-	sink sinkState
-	// lat estimates the per-group delivery-latency quantiles: every
-	// egress write of a frame from this source feeds it. Nil when
-	// telemetry is disabled. Each session generation gets a fresh pair:
-	// queued frames retain the pointer past the session's end, so a
-	// recycled session must never reuse its predecessor's.
-	lat *telemetry.LatencyPair
+	expired atomic.Bool
 }
 
 var sourceSessionPool = sync.Pool{New: func() any { return new(sourceSession) }}
 
-// newSourceSession checks a recycled session out of the pool and
-// resets every field a previous generation could have dirtied.
-func (s *Server) newSourceSession(name string, conn net.Conn, schema *tuple.Schema) *sourceSession {
+// newSourceSession checks a recycled session out of the pool; the core's
+// OpenSource resets its half.
+func newSourceSession(name string, conn net.Conn, schema *tuple.Schema) *sourceSession {
 	src := sourceSessionPool.Get().(*sourceSession)
-	src.name, src.conn, src.schema = name, conn, schema
-	src.gap.Reset()
-	src.expired.clear()
-	src.subEpoch = 0
-	src.sink.reset()
-	src.lat = nil
-	if s.tel != nil {
-		src.lat = telemetry.NewLatencyPair()
-	}
+	src.Name, src.Schema, src.Owner, src.conn = name, schema, src, conn
+	src.expired.Store(false)
 	return src
 }
 
-// reset clears the sink-side caches for session reuse: stale subscriber
-// pointers must not pin sessions in the pool, and the encoder's
-// memoized destination prefix must not survive into a generation whose
-// epochs restart at zero.
-func (st *sinkState) reset() {
-	st.epoch = 0
-	st.inDests = nil
-	clear(st.targets)
-	st.targets = st.targets[:0]
-	st.labels = st.labels[:0]
-	st.enc = wire.TransmissionEncoder{}
-}
-
-// sinkState caches the per-source fan-out of the last released
-// transmission: the engine-decided destination list is mapped to live
-// subscriber targets and their labels once per (epoch, list) run instead
-// of once per transmission, and the encoded destination prefix is
-// memoized inside the wire encoder.
-type sinkState struct {
-	epoch   uint64
-	inDests []string // engine destination list the cache was computed for
-	targets []*subscriber
-	labels  []string
-	enc     wire.TransmissionEncoder
-}
-
-// Server is the networked streaming service. Create with Start, stop with
-// Shutdown (graceful drain) or Close (abort).
+// Server is the networked streaming service: the TCP adapter over the
+// session core. Create with Start, stop with Shutdown (graceful drain) or
+// Close (abort).
 type Server struct {
-	cfg Config
-	ln  net.Listener
-	rt  *shard.Runtime
-	// log is the durable segment log, nil unless Config.DataDir is set.
-	log *seglog.Log
+	cfg  Config
+	ln   net.Listener
+	core *session.Core[*frameBatch]
+	// tel caches core.Telemetry() for the per-tuple and per-write paths
+	// (nil when disabled).
+	tel *telemetry.Pipeline
+	lg  *slog.Logger
 
-	// rtCancel aborts the shard runtime (hard stop only; a graceful
-	// drain must leave the workers running until Drain returns).
-	rtCancel context.CancelFunc
-
-	// mu guards the session registries; the delivery fan-out (sink) and
-	// metrics snapshots take the read side so shard workers do not
-	// serialize against each other or against handshakes.
+	// draining is set when Shutdown begins: new sessions are turned away
+	// and stream ends are tagged as drain goodbyes. mu orders a source
+	// reader's srcWG.Add before Shutdown's Wait.
 	mu       sync.RWMutex
-	sources  map[string]*sourceSession
-	subs     map[string]map[string]*subscriber // source -> app -> session
 	draining bool
-
-	// opsMu gates runtime operations against Drain: sessions hold the
-	// read side across Feed/Control/FinishSource; Shutdown takes the
-	// write side once all sources are gone, after which rtClosed rejects
-	// stragglers.
-	opsMu    sync.RWMutex
-	rtClosed bool
 
 	srcWG  sync.WaitGroup // source session readers
 	connWG sync.WaitGroup // every session goroutine
-	stop   chan struct{}  // closes background loops
+	stop   chan struct{}  // interrupts relay dial backoff
 
-	// lg is the resolved session logger; tel the stage-timing and
-	// latency-estimation pipeline (nil when disabled).
-	lg  *slog.Logger
-	tel *telemetry.Pipeline
-
-	// The flow-gap detector. wheel is tier 1 (connected sessions,
-	// nil when SourceTimeout is negative); sketch is tier 2, the
-	// bounded-memory last-heard record over the whole source population,
-	// connected or not, used to label reconnects that follow a silence
-	// gap. names interns source names across session generations, and
-	// expiryLag tracks how far past their deadline expiries fire.
-	wheel     *flowgap.Wheel
+	// Tier 2 of the flow-gap detector (tier 1, the wheel over connected
+	// sessions, is the core's): sketch is the bounded-memory last-heard
+	// record over the whole source population, connected or not, used to
+	// label reconnects that follow a silence gap. names interns source
+	// names across session generations, and expiryLag tracks how far past
+	// their deadline expiries fire. Both nil when expiry is disabled.
 	sketch    *flowgap.Sketch
 	names     *intern.Pool
 	expiryLag *telemetry.LatencyPair
@@ -393,74 +284,42 @@ func Start(cfg Config) (*Server, error) {
 			topo = t
 		}
 	}
-	if cfg.Policy == PolicyDegrade {
-		// Surface a bad controller config here, not at the first
-		// subscriber handshake.
-		if _, err := adapt.NewGovernor(cfg.Degrade); err != nil {
-			return nil, err
-		}
-	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	var log *seglog.Log
-	if cfg.DataDir != "" {
-		// Opening the log runs recovery: torn tails are truncated and
-		// each source's next offset restored before any session connects.
-		log, err = seglog.Open(cfg.DataDir, cfg.Seglog)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var tel *telemetry.Pipeline
-	if cfg.TelemetrySampleEvery >= 0 {
-		tel = telemetry.New(cfg.TelemetrySampleEvery)
-	}
-	sc := shard.FromOptions(cfg.Engine)
-	sc.Telemetry = tel
 	s := &Server{
-		cfg:      cfg,
-		ln:       ln,
-		rt:       shard.New(sc),
-		log:      log,
-		rtCancel: cancel,
-		sources:  make(map[string]*sourceSession),
-		subs:     make(map[string]map[string]*subscriber),
-		stop:     make(chan struct{}),
-		lg:       cfg.resolveLogger(),
-		tel:      tel,
-		names:    intern.New(0),
-		topo:     topo,
+		cfg:   cfg,
+		ln:    ln,
+		stop:  make(chan struct{}),
+		lg:    cfg.resolveLogger(),
+		names: intern.New(0),
+		topo:  topo,
 	}
+	// Opening the core recovers the durable log (torn tails truncated,
+	// each source's next offset restored) before any session connects.
+	s.core, err = session.New[*frameBatch](cfg.session(s.expireSource), s.sink)
+	if err != nil {
+		ln.Close()
+		return nil, err
+	}
+	s.tel = s.core.Telemetry()
 	if cfg.Federation.Role == federate.RoleEdge {
 		s.fed = newRelayMgr(s)
 	}
-	if cfg.SourceTimeout > 0 {
-		s.wheel = flowgap.NewWheel(cfg.ScanInterval, cfg.SourceTimeout, s.expireSource)
+	if s.core.Wheel() != nil {
 		s.sketch = flowgap.NewSketch(gapSketchCells)
 		s.expiryLag = telemetry.NewLatencyPair()
 	}
-	if err := s.rt.Start(ctx, s.sink); err != nil {
-		cancel()
-		ln.Close()
-		if log != nil {
-			log.Close()
-		}
-		return nil, err
-	}
-	s.connWG.Add(2)
+	s.connWG.Add(1)
 	go s.acceptLoop()
-	go s.scanLoop()
 	s.lg.Info("listening",
 		"addr", ln.Addr().String(),
 		"policy", cfg.Policy.String(),
 		"heartbeat", cfg.HeartbeatInterval,
 		"source_timeout", cfg.SourceTimeout,
-		"scan_interval", cfg.ScanInterval,
-		"telemetry_sample", tel.SampleEvery())
+		"scan_interval", s.core.Config().ScanInterval,
+		"telemetry_sample", s.tel.SampleEvery())
 	return s, nil
 }
 
@@ -471,23 +330,13 @@ func (s *Server) Telemetry() *telemetry.Pipeline { return s.tel }
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Runtime exposes the shard runtime for metrics.
-func (s *Server) Runtime() *shard.Runtime { return s.rt }
+func (s *Server) Runtime() *shard.Runtime { return s.core.Runtime() }
 
 // isDraining reports whether Shutdown has begun.
 func (s *Server) isDraining() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.draining
-}
-
-// runtimeOp runs a runtime operation under the drain gate.
-func (s *Server) runtimeOp(fn func() error) error {
-	s.opsMu.RLock()
-	defer s.opsMu.RUnlock()
-	if s.rtClosed {
-		return errDraining
-	}
-	return fn()
 }
 
 // acceptLoop admits connections until the listener closes.
@@ -510,44 +359,21 @@ func (s *Server) acceptLoop() {
 // via oldest-first eviction rather than growing memory.
 const gapSketchCells = 1 << 18
 
-// scanLoop drives flow-gap detection: a publisher that neither streams
-// nor heartbeats within SourceTimeout is presumed dead, its session is
-// closed and its stream finished, so its subscribers see a clean end
-// instead of silence. Each tick advances the timer wheel, which only
-// inspects the sessions whose liveness deadline falls due — never the
-// whole population, and never under the server mutex — so handshakes
-// and ingest are unaffected by how many idle sources are tracked.
-func (s *Server) scanLoop() {
-	defer s.connWG.Done()
-	if s.wheel == nil {
-		return
-	}
-	tick := time.NewTicker(s.cfg.ScanInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-		}
-		s.wheel.Advance(time.Now())
-	}
-}
-
-// expireSource is the wheel's expiry callback (runs on the scan loop,
-// outside every lock). Closing the connection unblocks the session
-// reader, which finishes the stream and tears down the subscribers.
-func (s *Server) expireSource(data any, lag time.Duration) {
-	src := data.(*sourceSession)
-	src.expired.set()
-	s.ctr.sourcesExpired.Add(1)
+// expireSource is told by the core's flow-gap wheel of a publisher that
+// neither streamed nor heartbeat within SourceTimeout (it runs on the
+// advance loop, outside every lock). Closing the connection unblocks the
+// session reader, which finishes the stream, so the source's subscribers
+// see a clean end instead of silence.
+func (s *Server) expireSource(owner any, lag time.Duration) {
+	src := owner.(*sourceSession)
+	src.expired.Store(true)
 	s.expiryLag.Observe(lag)
-	s.lg.Warn("source expired", "source", src.name, "silent_for", s.cfg.SourceTimeout, "lag", lag)
+	s.lg.Warn("source expired", "source", src.Name, "silent_for", s.cfg.SourceTimeout, "lag", lag)
 	if s.cfg.OnSourceGap != nil {
-		// Deadman notification, off the scan loop: the hook may block on
+		// Deadman notification, off the advance loop: the hook may block on
 		// external delivery (webhook, pager) without stalling detection.
 		s.ctr.gapNotifications.Add(1)
-		go s.cfg.OnSourceGap(src.name, s.cfg.SourceTimeout+lag)
+		go s.cfg.OnSourceGap(src.Name, s.cfg.SourceTimeout+lag)
 	}
 	src.conn.Close()
 }
@@ -574,6 +400,9 @@ func (s *Server) handleConn(conn net.Conn) {
 
 // reject answers a failed handshake with an error frame and closes.
 func (s *Server) reject(conn net.Conn, err error) {
+	if errors.Is(err, session.ErrClosed) {
+		err = errDraining
+	}
 	s.ctr.handshakeRejects.Add(1)
 	s.lg.Warn("handshake rejected", "remote", conn.RemoteAddr().String(), "err", err)
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
@@ -581,10 +410,10 @@ func (s *Server) reject(conn net.Conn, err error) {
 	conn.Close()
 }
 
-// serveSource runs a publisher session: register an engine for the
-// source, stream its tuples into the shard runtime, and on any exit
-// (goodbye, disconnect, expiry, protocol error) finish the stream, flush
-// the tail to its subscribers, and tear the subscribers down.
+// serveSource runs a publisher session: open the source on the core,
+// stream its tuples into the shard runtime, and on any exit (goodbye,
+// disconnect, expiry, protocol error) finish the stream — flushing the
+// tail to its subscribers and ending their streams.
 func (s *Server) serveSource(conn net.Conn, hello []byte) {
 	name, schema, err := DecodeSourceHello(hello)
 	if err != nil {
@@ -614,45 +443,32 @@ func (s *Server) serveSource(conn net.Conn, hello []byte) {
 			return
 		}
 	}
-
 	s.mu.Lock()
-	switch {
-	case s.draining:
+	if s.draining {
 		s.mu.Unlock()
 		s.reject(conn, errDraining)
 		return
-	case s.sources[name] != nil:
-		s.mu.Unlock()
-		s.reject(conn, fmt.Errorf("source %q already connected", name))
-		return
 	}
-	engine, err := core.NewDynamicEngine(s.cfg.Engine)
-	if err == nil {
-		err = s.runtimeOp(func() error { return s.rt.AddSourceLive(name, engine) })
-	}
-	if err != nil {
-		s.mu.Unlock()
+	s.srcWG.Add(1)
+	s.mu.Unlock()
+	src := newSourceSession(name, conn, schema)
+	if err := s.core.OpenSource(&src.Source); err != nil {
+		s.srcWG.Done()
 		s.reject(conn, err)
 		return
 	}
-	src := s.newSourceSession(name, conn, schema)
-	s.sources[name] = src
-	s.srcWG.Add(1)
-	s.mu.Unlock()
-
-	if s.wheel != nil {
-		// Tier 2 first: was this name silent past the timeout since we
-		// last heard it (possibly sessions ago)? That is a gap-recovered
+	if w := s.core.Wheel(); w != nil {
+		// Tier 2: was this name silent past the timeout since we last
+		// heard it (possibly sessions ago)? That is a gap-recovered
 		// reconnect — the sketch remembers populations far larger than
 		// the connected set, in bounded memory.
-		now := s.wheel.NowTick()
-		if last, known := s.sketch.LastSeen(name); known && now-last >= s.wheel.TimeoutTicks() {
+		now := w.NowTick()
+		if last, known := s.sketch.LastSeen(name); known && now-last >= w.TimeoutTicks() {
 			s.ctr.gapReconnects.Add(1)
 			s.lg.Info("source returned after flow gap", "source", name,
-				"silent_for", time.Duration(now-last)*s.wheel.Tick())
+				"silent_for", time.Duration(now-last)*w.Tick())
 		}
 		s.sketch.Record(name, now)
-		s.wheel.Add(&src.gap, src)
 	}
 	s.ctr.sourcesAccepted.Add(1)
 	s.lg.Info("source connected", "source", name, "remote", conn.RemoteAddr().String(), "schema", schema)
@@ -679,16 +495,17 @@ const resumeHintTail = 32
 // (the source came back shaped differently), no hint is sent — a wrong
 // hint could silently drop tuples, a missing one only risks duplicates.
 func (s *Server) sourceResumeHint(name string, schema *tuple.Schema) []byte {
-	if s.log == nil {
+	log := s.core.Log()
+	if log == nil {
 		return nil
 	}
-	head := s.log.NextOffset(name)
+	head := log.NextOffset(name)
 	from := uint64(0)
 	if head > resumeHintTail {
 		from = head - resumeHintTail
 	}
 	maxSeq := int64(-1)
-	err := s.log.Read(name, from, head, func(_ uint64, payload []byte) error {
+	err := log.Read(name, from, head, func(_ uint64, payload []byte) error {
 		t, _, _, err := wire.DecodeTransmission(schema, payload)
 		if err != nil {
 			return err
@@ -724,6 +541,7 @@ const (
 func (s *Server) readSource(src *sourceSession) {
 	var lastTS time.Time
 	var readErr error
+	wheel, rt := s.core.Wheel(), s.core.Runtime()
 	br := bufio.NewReaderSize(src.conn, idleReadBuf)
 	upgraded := false
 	var payloadBuf []byte
@@ -758,15 +576,15 @@ func (s *Server) readSource(src *sourceSession) {
 		// Stamping liveness once per submitted run (not per frame) keeps
 		// even the wheel's one-atomic-store touch off the per-tuple
 		// path; runs are far shorter than any sane SourceTimeout.
-		s.wheel.Touch(&src.gap)
+		wheel.Touch(&src.Gap)
 		// The submit may park arbitrarily long on a full shard ring
 		// (block policy downstream); the busy flag keeps the flow-gap
 		// wheel from mistaking that stall for a dead publisher, and the
 		// fresh touch on return restarts the gap clock.
-		src.gap.SetBusy(true)
-		err := s.runtimeOp(func() error { return s.rt.SubmitBatch(src.name, batch) })
-		src.gap.SetBusy(false)
-		s.wheel.Touch(&src.gap)
+		src.Gap.SetBusy(true)
+		err := rt.SubmitBatch(src.Name, batch)
+		src.Gap.SetBusy(false)
+		wheel.Touch(&src.Gap)
 		if err == nil {
 			s.ctr.tuplesIn.Add(uint64(len(batch)))
 		}
@@ -779,7 +597,7 @@ func (s *Server) readSource(src *sourceSession) {
 		if err != nil {
 			// EOF, gap expiry and the drain deadline are orderly ends of
 			// stream, not failures.
-			if !errors.Is(err, io.EOF) && !src.expired.isSet() && !s.isDraining() {
+			if !errors.Is(err, io.EOF) && !src.expired.Load() && !s.isDraining() {
 				readErr = err
 			}
 			break
@@ -807,10 +625,10 @@ func (s *Server) readSource(src *sourceSession) {
 			var err error
 			if s.tel.Sample(telemetry.StageIngestDecode) {
 				t0 := time.Now()
-				t, n, err = wire.DecodeTuple(src.schema, payload)
+				t, n, err = wire.DecodeTuple(src.Schema, payload)
 				s.tel.Observe(telemetry.StageIngestDecode, time.Since(t0))
 			} else {
-				t, n, err = wire.DecodeTuple(src.schema, payload)
+				t, n, err = wire.DecodeTuple(src.Schema, payload)
 			}
 			if err == nil && n != len(payload) {
 				err = fmt.Errorf("tuple frame carries %d trailing bytes", len(payload)-n)
@@ -836,7 +654,7 @@ func (s *Server) readSource(src *sourceSession) {
 			}
 			continue
 		case FrameHeartbeat:
-			s.wheel.Touch(&src.gap)
+			wheel.Touch(&src.Gap)
 			s.ctr.heartbeatsIn.Add(1)
 			continue
 		case FramePing:
@@ -844,7 +662,7 @@ func (s *Server) readSource(src *sourceSession) {
 			// shard ring before the pong leaves, so a client that has seen
 			// the pong knows later membership changes order after those
 			// tuples.
-			s.wheel.Touch(&src.gap)
+			wheel.Touch(&src.Gap)
 			if err := submit(); err != nil {
 				readErr = err
 				break
@@ -852,11 +670,11 @@ func (s *Server) readSource(src *sourceSession) {
 			// The pong write closes the barrier; it is covered by the busy
 			// flag like the submit so an outstanding ping can never expire
 			// the source mid-barrier.
-			src.gap.SetBusy(true)
+			src.Gap.SetBusy(true)
 			src.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			err := WriteFrame(src.conn, FramePong, payload)
-			src.gap.SetBusy(false)
-			s.wheel.Touch(&src.gap)
+			src.Gap.SetBusy(false)
+			wheel.Touch(&src.Gap)
 			if err != nil {
 				readErr = fmt.Errorf("answering ping: %w", err)
 				break
@@ -883,26 +701,22 @@ func (s *Server) sendError(conn net.Conn, err error) {
 	_ = WriteFrame(conn, FrameError, []byte(err.Error()))
 }
 
-// finishSource ends a publisher session: finish the engine (flushing its
-// final outputs through the sink), tear down the source's subscribers
-// after the tail is delivered, and release the source name for reuse.
+// finishSource ends a publisher session: the core finishes the engine
+// (flushing its final outputs through the sink), frees the source name
+// and ends the subscribers' streams once the tail is delivered.
 func (s *Server) finishSource(src *sourceSession, cause error) {
 	defer s.srcWG.Done()
 	src.conn.Close()
-	// Leave the wheel first. clean=false means an expiry pass has
-	// claimed this session and its callback may still be running — the
-	// session must then not be recycled; the GC takes that rare loser.
-	clean := true
-	if s.wheel != nil {
-		clean = s.wheel.Remove(&src.gap)
+	if w := s.core.Wheel(); w != nil {
 		// Tier-2 record of when this name was last heard, so a future
 		// reconnect can be classified against the silence threshold.
-		s.sketch.Record(src.name, s.wheel.NowTick())
+		s.sketch.Record(src.Name, w.NowTick())
 	}
+	draining := s.isDraining()
 	switch {
-	case src.expired.isSet():
+	case src.expired.Load():
 		s.ctr.closedFlowGap.Add(1)
-	case s.isDraining():
+	case draining:
 		s.ctr.closedDrain.Add(1)
 	case cause != nil:
 		s.ctr.closedDisconnect.Add(1)
@@ -911,42 +725,27 @@ func (s *Server) finishSource(src *sourceSession, cause error) {
 	}
 	if cause != nil {
 		s.ctr.sourcesFailed.Add(1)
-		s.lg.Warn("source failed", "source", src.name, "err", cause)
+		s.lg.Warn("source failed", "source", src.Name, "err", cause)
 	} else {
-		s.lg.Info("source finished", "source", src.name)
+		s.lg.Info("source finished", "source", src.Name)
 	}
-	if err := s.runtimeOp(func() error { return s.rt.FinishSourceWait(src.name) }); err != nil && !errors.Is(err, errDraining) {
-		s.lg.Warn("finishing source", "source", src.name, "err", err)
-	}
-	// The runtime forgets the name before the server registry does, so a
-	// publisher reconnecting under this name either sees the old session
-	// (rejected, retryable) or a fully clean slate — never a half-freed
-	// name whose AddSourceLive would fail.
-	if err := s.runtimeOp(func() error { return s.rt.RemoveSource(src.name) }); err != nil && !errors.Is(err, errDraining) {
-		s.lg.Warn("removing source", "source", src.name, "err", err)
-	}
-	s.mu.Lock()
-	delete(s.sources, src.name)
-	subs := s.subs[src.name]
-	delete(s.subs, src.name)
-	s.mu.Unlock()
-	// The finish marker has been processed, so no further sink flush can
-	// touch these subscribers: their queues are complete and may be
-	// flushed and closed.
-	for _, sub := range subs {
-		sub.finishStream()
+	clean, err := s.core.FinishSource(&src.Source, true)
+	if err != nil && !draining {
+		s.lg.Warn("finishing source", "source", src.Name, "err", err)
 	}
 	s.ctr.sourcesFinished.Add(1)
-	// Safe to recycle: the session is out of every registry, the
-	// runtime has drained its flushes (FinishSourceWait), and the wheel
-	// reported no in-flight expiry claim.
-	if clean {
+	// Safe to recycle: the session is out of every registry, the runtime
+	// has drained its flushes, and the wheel reported no in-flight expiry
+	// claim (clean=false: the GC takes that rare loser). Not once a
+	// shutdown began: its snapshot of the open sources may still name this
+	// one.
+	if clean && !s.isDraining() {
 		sourceSessionPool.Put(src)
 	}
 }
 
-// serveSubscriber runs a subscriber session: parse and validate the
-// quality spec, join the source's live group, then stream transmissions
+// serveSubscriber runs a subscriber session: parse the quality spec, join
+// the source's live group through the core, then stream transmissions
 // until the subscriber leaves or its source finishes.
 func (s *Server) serveSubscriber(conn net.Conn, hello []byte) {
 	h, err := DecodeSubHello(hello)
@@ -954,136 +753,44 @@ func (s *Server) serveSubscriber(conn net.Conn, hello []byte) {
 		s.reject(conn, err)
 		return
 	}
-	app, source, queue := h.App, h.Source, h.Queue
 	spec, err := quality.Parse(h.Spec)
 	if err != nil {
 		s.reject(conn, err)
 		return
 	}
-	if s.fed != nil {
-		s.serveEdgeSubscriber(conn, h, spec)
-		return
-	}
-	f, err := spec.Build(app)
-	if err != nil {
-		s.reject(conn, err)
-		return
-	}
-	if s.log == nil && h.Resume {
-		s.reject(conn, fmt.Errorf("%w: the server has no durable log (start it with a data dir)", ErrResumeUnavailable))
-		return
-	}
-	if s.log != nil && h.Version < 2 {
-		// A durable server's encode-once fan-out produces only
-		// offset-bearing transmission frames; a protocol-1 client would
-		// not understand them, so the handshake is the place to fail.
-		s.reject(conn, fmt.Errorf("durable server requires subscriber protocol version %d (client speaks %d)", SubProtoVersion, h.Version))
-		return
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if s.isDraining() {
 		s.reject(conn, errDraining)
 		return
-	}
-	src := s.sources[source]
-	if src == nil {
-		s.mu.Unlock()
-		s.reject(conn, fmt.Errorf("unknown source %q", source))
-		return
-	}
-	for _, attr := range spec.Attrs {
-		if !src.schema.Has(attr) {
-			s.mu.Unlock()
-			s.reject(conn, fmt.Errorf("source %q has no attribute %q (schema %v)", source, attr, src.schema))
-			return
-		}
-	}
-	if s.subs[source][app] != nil {
-		s.mu.Unlock()
-		s.reject(conn, fmt.Errorf("%w: app %q holds a live session on %q", ErrAlreadySubscribed, app, source))
-		return
-	}
-	// Transmissions label every destination on the wire (u8 count), so a
-	// group larger than the encoding allows could never be delivered.
-	if len(s.subs[source]) >= wire.MaxDestinations {
-		s.mu.Unlock()
-		s.reject(conn, fmt.Errorf("source %q already has %d subscribers (wire limit)", source, wire.MaxDestinations))
-		return
-	}
-	if h.Resume && h.ResumeFrom > s.log.NextOffset(source) {
-		head := s.log.NextOffset(source)
-		s.mu.Unlock()
-		s.reject(conn, fmt.Errorf("%w: resume offset %d is beyond the log head %d of source %q", ErrResumeUnavailable, h.ResumeFrom, head, source))
-		return
-	}
-	if queue <= 0 {
-		queue = s.cfg.SubscriberQueue
-	}
-	if queue > s.cfg.MaxSubscriberQueue {
-		queue = s.cfg.MaxSubscriberQueue
 	}
 	if s.cfg.SubscriberSendBuffer > 0 {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			_ = tc.SetWriteBuffer(s.cfg.SubscriberSendBuffer)
 		}
 	}
-	sub := newSubscriber(s, app, source, conn, queue)
-	sub.resume, sub.resumeFrom = h.Resume, h.ResumeFrom
+	sub := newSubscriber(s, h.App, h.Source, conn, h.Queue)
+	if s.fed != nil {
+		s.serveEdgeSubscriber(sub, h, spec)
+		return
+	}
+	if s.core.Log() != nil && h.Version < 2 {
+		// A durable server's encode-once fan-out produces only
+		// offset-bearing transmission frames; a protocol-1 client would
+		// not understand them, so the handshake is the place to fail.
+		s.reject(conn, fmt.Errorf("durable server requires subscriber protocol version %d (client speaks %d)", SubProtoVersion, h.Version))
+		return
+	}
+	sub.m.Resume, sub.m.ResumeFrom = h.Resume, h.ResumeFrom
+	if err := s.core.Join(context.Background(), sub.m, spec); err != nil {
+		s.reject(conn, err)
+		return
+	}
 	if h.Relay {
 		// An edge's upstream leg: the same session in every way, but
 		// tagged with the edge it fans out on for metrics and debug.
 		sub.relayEdge = h.RelayEdge
 		s.ctr.fedRelayLegsIn.Add(1)
 	}
-	if s.cfg.Policy == PolicyDegrade {
-		if sc, ok := f.(adapt.Scalable); ok {
-			// Config validated at Start; a fresh governor per session keeps
-			// each subscriber's trajectory independent.
-			gov, gerr := adapt.NewGovernor(s.cfg.Degrade)
-			if gerr != nil {
-				s.mu.Unlock()
-				s.reject(conn, gerr)
-				return
-			}
-			sub.gov, sub.scalable = gov, sc
-		}
-	}
-	if s.subs[source] == nil {
-		s.subs[source] = make(map[string]*subscriber)
-	}
-	// Registered before the filter joins the group, so the first
-	// delivery the engine decides for this app finds its queue.
-	s.subs[source][app] = sub
-	src.subEpoch++
-	s.mu.Unlock()
-
-	err = s.runtimeOp(func() error {
-		return s.rt.Control(source, func(e *core.Engine) error {
-			if err := e.AddFilter(f); err != nil {
-				return err
-			}
-			if sub.resume {
-				// The splice fence: this closure runs on the source's
-				// owning worker at a tuple boundary, the same goroutine
-				// that appends to the log, so every record below the fence
-				// was released before this app joined the group and every
-				// transmission addressed to it lands at or above the
-				// fence. Replaying [resumeFrom, fence) and then streaming
-				// live is gapless and duplicate-free by construction.
-				sub.spliceTo = s.log.NextOffset(source)
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		s.dropSubscriberEntry(sub)
-		s.reject(conn, fmt.Errorf("joining group of %q: %w", source, err))
-		return
-	}
-
-	schemaPayload, err := EncodeSchema(src.schema)
+	schemaPayload, err := EncodeSchema(sub.m.Schema)
 	if err == nil {
 		err = WriteFrame(conn, FrameHelloOK, schemaPayload)
 	}
@@ -1093,62 +800,33 @@ func (s *Server) serveSubscriber(conn net.Conn, hello []byte) {
 		return
 	}
 	s.ctr.subscribersAccepted.Add(1)
-	s.lg.Info("subscriber joined", "app", app, "source", source, "spec", spec)
+	s.lg.Info("subscriber joined", "app", h.App, "source", h.Source, "spec", spec)
 	s.connWG.Add(1)
 	go sub.writeLoop()
-	if sub.gov != nil {
-		s.connWG.Add(1)
-		go sub.scaleLoop()
-	}
 	sub.readLoop() // returns when the client leaves or the session ends
 }
 
-// dropSubscriberEntry removes a subscriber from the registry without
-// touching the engine (used when the join itself failed).
-func (s *Server) dropSubscriberEntry(sub *subscriber) {
-	s.mu.Lock()
-	if m := s.subs[sub.source]; m != nil && m[sub.app] == sub {
-		delete(m, sub.app)
-		if src := s.sources[sub.source]; src != nil {
-			src.subEpoch++
-		}
-	}
-	s.mu.Unlock()
-}
-
-// removeSubscriber detaches a departing subscriber: its filter leaves the
-// live group (re-deriving the group for the remaining members) and its
-// queue stops accepting deliveries. The registry entry is removed only
-// after the filter has left the engine, so outputs the group still owed
-// the old session cannot reach a new session reusing the app name — the
-// name stays taken (duplicate-rejected) until the detach completes.
+// removeSubscriber detaches a departing subscriber and returns once the
+// departure has been applied: its queue stops accepting deliveries and
+// its filter has left the live group (session.Core.Leave). A relay member
+// lives outside the engine and the registry: its departure refcounts the
+// leg down, and the last member's leave tears the upstream subscription
+// down through the acked path.
 func (s *Server) removeSubscriber(sub *subscriber) {
-	sub.leave() // unblocks any sink send first
+	err := s.core.Leave(context.Background(), sub.m)
 	if sub.leg != nil {
-		// Relay members live outside the engine and the registry: the
-		// departure refcounts the leg down, and the last member's leave
-		// tears the upstream subscription through the acked path.
 		s.fed.detach(sub)
-		s.lg.Info("subscriber left", "app", sub.app, "source", sub.source, "dropped", sub.droppedCount())
-		return
+	} else if err != nil {
+		s.lg.Warn("detaching subscriber", "app", sub.m.App, "source", sub.m.Source, "err", err)
 	}
-	err := s.runtimeOp(func() error {
-		return s.rt.Control(sub.source, func(e *core.Engine) error { return e.RemoveFilter(sub.app) })
-	})
-	if err != nil && !errors.Is(err, errDraining) {
-		// The source may have finished concurrently; its teardown already
-		// retired the whole group.
-		s.lg.Warn("detaching subscriber", "app", sub.app, "source", sub.source, "err", err)
-	}
-	s.dropSubscriberEntry(sub)
-	s.lg.Info("subscriber left", "app", sub.app, "source", sub.source, "dropped", sub.droppedCount())
+	s.lg.Info("subscriber left", "app", sub.m.App, "source", sub.m.Source, "dropped", sub.m.Dropped())
 }
 
 // sinkScratch is the per-sink-call staging state (the subscribers
 // touched this cycle), pooled so concurrent shard workers each grab
 // their own and the fan-out cycle stays allocation-free.
 type sinkScratch struct {
-	touched []*subscriber
+	touched []*session.Member[*frameBatch]
 }
 
 var sinkScratchPool = sync.Pool{New: func() any { return new(sinkScratch) }}
@@ -1160,62 +838,39 @@ var sinkScratchPool = sync.Pool{New: func() any { return new(sinkScratch) }}
 //
 // The fan-out path encodes each transmission exactly once into a pooled,
 // refcounted frame shared by every target queue, labels it with the live
-// targets only (departed subscribers stop consuming egress bytes), and
-// reuses the per-source target/label/prefix caches while the subscription
-// epoch and destination list repeat. Frames are staged per subscriber
-// across the whole flush and handed over as one batch per subscriber —
-// one queue operation per release cycle, not one per frame. Staging is
-// safe without locks because a subscriber belongs to exactly one source
-// and one worker owns all of a source's flushes.
+// targets only (departed subscribers stop consuming egress bytes; the
+// core's Route caches targets, labels and the encoded label prefix while
+// the membership epoch and destination list repeat). Frames are staged
+// per subscriber across the whole flush and handed over as one batch per
+// subscriber — one queue operation per release cycle, not one per frame.
+// Staging is safe without locks because a subscriber belongs to exactly
+// one source and one worker owns all of a source's flushes.
 func (s *Server) sink(batch []shard.Out) {
 	var fanStart time.Time
 	if s.tel.Sample(telemetry.StageFanout) {
 		fanStart = time.Now()
 	}
+	durable := s.core.Log() != nil
 	sc := sinkScratchPool.Get().(*sinkScratch)
 	for i := range batch {
 		o := &batch[i]
 		s.ctr.transmissionsOut.Add(1)
-
-		s.mu.RLock()
-		src := s.sources[o.Source]
-		var st *sinkState
-		if src != nil {
-			st = &src.sink
-			if st.epoch != src.subEpoch || !slices.Equal(st.inDests, o.Tr.Destinations) {
-				// Membership or overlap pattern changed: recompute the
-				// live targets and their labels. Label order follows the
-				// engine's sorted destination list, so the encoding stays
-				// deterministic.
-				st.epoch, st.inDests = src.subEpoch, o.Tr.Destinations
-				st.targets, st.labels = st.targets[:0], st.labels[:0]
-				for _, app := range o.Tr.Destinations {
-					if sub := s.subs[o.Source][app]; sub != nil {
-						st.targets = append(st.targets, sub)
-						st.labels = append(st.labels, app)
-					}
-				}
-			}
+		src := s.core.Route(o.Source, o.Tr.Destinations)
+		if src == nil || len(src.Targets) == 0 {
+			continue // the source is gone, or every addressee already left
 		}
-		s.mu.RUnlock()
-		if st == nil || len(st.targets) == 0 {
-			// The source is gone, or every addressee already left (their
-			// owed outputs decided after the leave); nothing to encode.
-			continue
-		}
-
 		fr := getFrame()
 		kind := FrameTransmission
-		if s.log != nil {
+		if durable {
 			kind = FrameTransmissionOff
 		}
 		buf := beginFrame(fr.buf, kind)
 		payloadStart := len(buf)
-		if s.log != nil {
+		if durable {
 			// Offset placeholder, patched after the append assigns it.
 			buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
 		}
-		buf, err := st.enc.AppendTransmission(buf, st.epoch, o.Tr.Tuple, st.labels)
+		buf, err := src.Enc.AppendTransmission(buf, src.Epoch, o.Tr.Tuple, src.Labels)
 		if err != nil {
 			fr.buf = fr.buf[:0]
 			fr.retain(1)
@@ -1224,18 +879,12 @@ func (s *Server) sink(batch []shard.Out) {
 			continue
 		}
 		fr.buf = endFrame(buf)
-		if s.log != nil {
+		if durable {
 			// The durable record is the exact transmission fanned out to
-			// the live targets — pruned labels included — so a replayed
-			// stream is byte-identical to what a live subscriber received.
-			// The append lands before any subscriber queue sees the frame:
-			// a delivery can never report an offset the log does not hold.
-			off, err := s.log.Append(o.Source, fr.buf[payloadStart+8:])
+			// the live targets, appended before any queue sees the frame.
+			off, err := s.core.AppendLog(o.Source, fr.buf[payloadStart+8:])
 			if err != nil {
-				// Durability is degraded, delivery is not: the live stream
-				// continues and the failure is counted and logged. Recovery
-				// truncates whatever half-record the error left behind.
-				s.ctr.logAppendErrors.Add(1)
+				// Recovery truncates whatever half-record the error left.
 				s.lg.Error("segment log append", "source", o.Source, "err", err)
 			}
 			binary.LittleEndian.PutUint64(fr.buf[payloadStart:], off)
@@ -1243,24 +892,24 @@ func (s *Server) sink(batch []shard.Out) {
 		// The tuple's source timestamp rides on the frame so egress can
 		// turn the write instant into an end-to-end delivery latency.
 		fr.ts = o.Tr.Tuple.TS.UnixNano()
-		fr.src = src.lat
-		fr.retain(len(st.targets))
-		for _, sub := range st.targets {
-			if sub.stage == nil {
-				sub.stage = getBatch()
-				sc.touched = append(sc.touched, sub)
+		fr.src = src.Lat
+		fr.retain(len(src.Targets))
+		for _, m := range src.Targets {
+			if m.Stage == nil {
+				m.Stage = getBatch()
+				sc.touched = append(sc.touched, m)
 			}
-			sub.stage.frames = append(sub.stage.frames, fr)
+			m.Stage.frames = append(m.Stage.frames, fr)
 		}
 	}
 	// Hand each touched subscriber its whole cycle in one queue
 	// operation; the stage pointer is cleared before the send so a
 	// blocked hand-off never leaves worker-owned state behind.
-	for i, sub := range sc.touched {
-		b := sub.stage
-		sub.stage = nil
+	for i, m := range sc.touched {
+		b := m.Stage
+		m.Stage = nil
 		sc.touched[i] = nil
-		sub.sendBatch(b)
+		s.sendBatch(m, b)
 	}
 	sc.touched = sc.touched[:0]
 	sinkScratchPool.Put(sc)
@@ -1280,22 +929,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Close aborts the server without draining.
 func (s *Server) Close() error {
-	s.shutOnce.Do(func() {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		s.shutErr = s.shutdown(ctx)
-	})
-	return s.shutErr
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return s.Shutdown(ctx)
 }
 
 func (s *Server) shutdown(ctx context.Context) error {
 	s.lg.Info("shutting down")
 	s.mu.Lock()
 	s.draining = true
-	srcs := make([]*sourceSession, 0, len(s.sources))
-	for _, src := range s.sources {
-		srcs = append(srcs, src)
-	}
 	s.mu.Unlock()
 	s.ln.Close()
 	close(s.stop)
@@ -1305,111 +947,42 @@ func (s *Server) shutdown(ctx context.Context) error {
 		// clean their relay sessions on disconnect.
 		s.fed.shutdown()
 	}
-
-	// Each publisher gets a drain-tagged goodbye and a read deadline: its
-	// reader drains the tuples already in flight, then goes down the
-	// normal finish path — engine Finish, tail flush, subscriber goodbye.
-	// The tag lets a reconnect-aware publisher distinguish this forced
-	// end from its own Finish and redial a restarted server.
-	for _, src := range srcs {
-		src.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		_ = WriteFrame(src.conn, FrameGoodbye, goodbyeDrainPayload)
-		src.conn.SetReadDeadline(time.Now().Add(s.cfg.DrainGrace))
-	}
-
-	done := make(chan struct{})
-	go func() { s.srcWG.Wait(); close(done) }()
 	aborted := false
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// Hard abort: cancel the runtime so blocked feeds and controls
-		// unwind, and cut the connections under the readers.
+	err := s.core.Close(ctx, func(open []*session.Source[*frameBatch]) error {
+		// Each publisher gets a drain-tagged goodbye and a read deadline:
+		// its reader drains the tuples already in flight, then goes down
+		// the normal finish path — engine Finish, tail flush, subscriber
+		// goodbye. The tag lets a reconnect-aware publisher distinguish
+		// this forced end from its own Finish and redial a restarted
+		// server.
+		for _, o := range open {
+			conn := o.Owner.(*sourceSession).conn
+			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			_ = WriteFrame(conn, FrameGoodbye, goodbyeDrainPayload)
+			conn.SetReadDeadline(time.Now().Add(s.cfg.DrainGrace))
+		}
+		s.srcWG.Wait()
+		return nil
+	}, func() {
+		// Hard abort: cut the connections under the readers.
 		aborted = true
-		s.rtCancel()
-		for _, src := range srcs {
-			src.conn.Close()
-		}
-		<-done
-	}
-
-	// All feeders have stopped; seal the runtime and drain it.
-	s.opsMu.Lock()
-	s.rtClosed = true
-	s.opsMu.Unlock()
-	if aborted {
-		s.rtCancel()
-	}
-	drainErr := s.rt.Drain()
-	s.rtCancel()
-	if s.log != nil {
-		// The workers are drained: no sink call can append anymore, so
-		// the log can be sealed (final fsync under the sync policies).
-		if err := s.log.Close(); err != nil {
-			drainErr = errors.Join(drainErr, err)
-		}
-	}
-
-	// Workers are gone, so no sink flush can race these closes; any
-	// subscriber still connected gets its queue flushed and a goodbye.
-	s.mu.Lock()
-	var rest []*subscriber
-	for _, m := range s.subs {
-		for _, sub := range m {
-			rest = append(rest, sub)
-		}
-	}
-	s.subs = make(map[string]map[string]*subscriber)
-	s.mu.Unlock()
-	for _, sub := range rest {
-		sub.finishStream()
-	}
-
+		s.core.Inspect(func(src *session.Source[*frameBatch], _ map[string]*session.Member[*frameBatch]) {
+			src.Owner.(*sourceSession).conn.Close()
+		})
+	})
+	// Every stream has ended; the writers flush their queues, say goodbye
+	// and close, which releases the read sides.
 	waitDone := make(chan struct{})
 	go func() { s.connWG.Wait(); close(waitDone) }()
 	select {
 	case <-waitDone:
 	case <-ctx.Done():
 		if !aborted {
-			drainErr = errors.Join(drainErr, ctx.Err())
+			err = errors.Join(err, ctx.Err())
 		}
 	}
-	if aborted {
-		// The abort cancelled the runtime on purpose; surfacing the
-		// cancellation itself as an error would make every Close() fail.
-		return stripCtxErrs(drainErr)
-	}
-	if drainErr != nil {
-		return drainErr
-	}
-	s.lg.Info("drained")
-	return nil
-}
-
-// stripCtxErrs removes context-cancellation errors from a (possibly
-// joined) error tree, keeping real failures.
-func stripCtxErrs(err error) error {
-	if err == nil {
-		return nil
-	}
-	if joined, ok := err.(interface{ Unwrap() []error }); ok {
-		var keep []error
-		for _, e := range joined.Unwrap() {
-			if e = stripCtxErrs(e); e != nil {
-				keep = append(keep, e)
-			}
-		}
-		return errors.Join(keep...)
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return nil
+	if err == nil && !aborted {
+		s.lg.Info("drained")
 	}
 	return err
 }
-
-// atomicFlag is a set-once boolean (clearable only for session reuse).
-type atomicFlag struct{ v atomic.Bool }
-
-func (a *atomicFlag) set()        { a.v.Store(true) }
-func (a *atomicFlag) clear()      { a.v.Store(false) }
-func (a *atomicFlag) isSet() bool { return a.v.Load() }

@@ -1,18 +1,24 @@
 package server
 
 import (
+	"context"
+	"net"
 	"testing"
 	"time"
 
 	"gasf/internal/core"
+	"gasf/internal/quality"
+	"gasf/internal/session"
 	"gasf/internal/shard"
-	"gasf/internal/telemetry"
 	"gasf/internal/tuple"
 	"gasf/internal/wire"
 )
 
-// sinkFixture builds a Server with registries only — no listener, no
-// goroutines — so the fan-out path can be driven deterministically.
+// sinkFixture builds a Server around a real session core but with no
+// listener and no session goroutines: members are joined through the core,
+// nothing is published, and the tests call the sink themselves with
+// fabricated releases — standing in for the source's shard worker, which
+// stays idle — so the fan-out path can be driven deterministically.
 type sinkFixture struct {
 	s      *Server
 	src    *sourceSession
@@ -25,38 +31,39 @@ func newSinkFixture(t *testing.T) *sinkFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Policy: PolicyDrop, Logf: t.Logf}.withDefaults()
 	// Telemetry sampling every event: the fan-out alloc gate below must
 	// hold with the stage timers fully hot, not just at the default
 	// 1-in-64 sampling.
-	s := &Server{
-		cfg:     cfg,
-		lg:      cfg.resolveLogger(),
-		tel:     telemetry.New(1),
-		sources: make(map[string]*sourceSession),
-		subs:    make(map[string]map[string]*subscriber),
+	cfg := Config{Policy: PolicyDrop, Logf: t.Logf, TelemetrySampleEvery: 1, SourceTimeout: -1}.withDefaults()
+	s := &Server{cfg: cfg, lg: cfg.resolveLogger()}
+	if s.core, err = session.New[*frameBatch](cfg.session(nil), s.sink); err != nil {
+		t.Fatal(err)
 	}
-	src := &sourceSession{name: "s1", schema: schema, lat: telemetry.NewLatencyPair()}
-	s.sources["s1"] = src
-	s.subs["s1"] = make(map[string]*subscriber)
+	s.tel = s.core.Telemetry()
+	t.Cleanup(func() {
+		s.core.Close(context.Background(), func([]*session.Source[*frameBatch]) error { return nil }, nil)
+	})
+	client, srvEnd := net.Pipe()
+	t.Cleanup(func() { client.Close() })
+	src := newSourceSession("s1", srvEnd, schema)
+	if err := s.core.OpenSource(&src.Source); err != nil {
+		t.Fatal(err)
+	}
 	return &sinkFixture{s: s, src: src, schema: schema}
 }
 
-// subscribe registers a queue-only subscriber session.
+// subscribe joins a queue-only subscriber session (no connection, no
+// writer) with a pass-all spec.
 func (fx *sinkFixture) subscribe(app string, queue int) *subscriber {
 	sub := newSubscriber(fx.s, app, "s1", nil, queue)
-	fx.s.mu.Lock()
-	fx.s.subs["s1"][app] = sub
-	fx.src.subEpoch++
-	fx.s.mu.Unlock()
+	if err := fx.s.core.Join(context.Background(), sub.m, quality.MustParse("DC1(v, 0.5, 0)")); err != nil {
+		panic(err)
+	}
 	return sub
 }
 
-// unsubscribe removes the registry entry the way removeSubscriber does.
-func (fx *sinkFixture) unsubscribe(sub *subscriber) {
-	sub.leave()
-	fx.s.dropSubscriberEntry(sub)
-}
+// unsubscribe detaches the session the way a departing client does.
+func (fx *sinkFixture) unsubscribe(sub *subscriber) { fx.s.removeSubscriber(sub) }
 
 func (fx *sinkFixture) out(t *testing.T, seq int, dests ...string) shard.Out {
 	t.Helper()
@@ -74,7 +81,7 @@ func (fx *sinkFixture) out(t *testing.T, seq int, dests ...string) shard.Out {
 func take(t *testing.T, sub *subscriber) *frame {
 	t.Helper()
 	select {
-	case b := <-sub.out:
+	case b := <-sub.m.Queue():
 		if len(b.frames) != 1 {
 			t.Fatalf("cycle batch carries %d frames, want 1", len(b.frames))
 		}
@@ -152,7 +159,7 @@ func TestSinkEncodesOnlyLiveLabels(t *testing.T) {
 
 	// Nothing was queued for the departed subscriber.
 	select {
-	case <-subB.out:
+	case <-subB.m.Queue():
 		t.Fatal("departed subscriber received a frame")
 	default:
 	}
@@ -184,12 +191,12 @@ func TestSinkEpochInvalidatesCache(t *testing.T) {
 func TestSinkSourceGone(t *testing.T) {
 	fx := newSinkFixture(t)
 	sub := fx.subscribe("a", 16)
-	fx.s.mu.Lock()
-	delete(fx.s.sources, "s1")
-	fx.s.mu.Unlock()
+	if _, err := fx.s.core.FinishSource(&fx.src.Source, true); err != nil {
+		t.Fatal(err)
+	}
 	fx.s.sink([]shard.Out{fx.out(t, 1, "a")})
 	select {
-	case <-sub.out:
+	case <-sub.m.Queue():
 		t.Fatal("frame delivered for a retired source")
 	default:
 	}
@@ -208,7 +215,7 @@ func TestSinkBatchHandoff(t *testing.T) {
 		fx.out(t, 2, "a"),
 		fx.out(t, 3, "a", "b"),
 	})
-	bA := <-subA.out
+	bA := <-subA.m.Queue()
 	if got := len(bA.frames); got != 3 {
 		t.Fatalf("a's cycle batch carries %d frames, want 3", got)
 	}
@@ -218,7 +225,7 @@ func TestSinkBatchHandoff(t *testing.T) {
 			t.Fatalf("a's frame %d is seq %d, want %d (release order)", i, tp.Seq, want)
 		}
 	}
-	bB := <-subB.out
+	bB := <-subB.m.Queue()
 	if got := len(bB.frames); got != 2 {
 		t.Fatalf("b's cycle batch carries %d frames, want 2", got)
 	}
@@ -226,9 +233,9 @@ func TestSinkBatchHandoff(t *testing.T) {
 		t.Fatal("fan-out did not share frames across subscriber batches")
 	}
 	select {
-	case <-subA.out:
+	case <-subA.m.Queue():
 		t.Fatal("subscriber a got more than one queue entry for one cycle")
-	case <-subB.out:
+	case <-subB.m.Queue():
 		t.Fatal("subscriber b got more than one queue entry for one cycle")
 	default:
 	}

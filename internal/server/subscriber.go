@@ -2,17 +2,15 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"gasf/internal/adapt"
-	"gasf/internal/core"
+	"gasf/internal/session"
 	"gasf/internal/telemetry"
 	"gasf/internal/wire"
 )
@@ -22,84 +20,33 @@ import (
 // covers a bounded burst.
 const subWriteBatchBytes = 32 << 10
 
-// subscriber is one connected application session: a bounded queue of
-// frame batches between the shard workers (producers, via Server.sink,
-// one queue operation per release cycle) and a writer goroutine that
-// owns the connection's write side and drains queued batches into
-// vectored writes.
+// subscriber is the TCP end of one session member: the connection, and
+// the writer goroutine that owns its write side and drains the member's
+// queue of frame batches (filled by Server.sink, one queue operation per
+// release cycle) into vectored writes. Queue, departure, end of stream,
+// eviction and the degrade governor are the member's (session.Member).
 type subscriber struct {
-	s      *Server
-	app    string
-	source string
-	conn   net.Conn
+	s    *Server
+	m    *session.Member[*frameBatch]
+	conn net.Conn
 
-	// stage accumulates this subscriber's frames during one sink call.
-	// It is owned by the source's shard worker (per-source sink calls
-	// are serialized), lives only within a single sink invocation, and
-	// is always handed to the queue before the call returns.
-	stage *frameBatch
-
-	// out carries frame batches to the writer. Only the sink sends on
-	// it, only for a live source; it is closed exactly once, after the
-	// source's final flush, to let the writer drain the tail and send
-	// the goodbye.
-	out chan *frameBatch
-	// done is closed when the subscriber leaves (client disconnect or
-	// removal), releasing any sink send blocked on a full queue.
-	done chan struct{}
 	// writerDone is closed when writeLoop exits; the read side waits on
 	// it before writing the departure ack, so the two goroutines never
 	// interleave writes on the connection.
 	writerDone chan struct{}
-	leaveOnce  sync.Once
-	finOnce    sync.Once
+	// clientLeft marks a departure the read side initiated: it owns the
+	// ack and the close, so the writer must exit without either.
+	clientLeft atomic.Bool
 
-	// resume asks the writer to replay the source's durable log over
-	// [resumeFrom, spliceTo) before draining live deliveries. spliceTo is
-	// the fence captured inside the AddFilter control closure — every
-	// live delivery for this session carries an offset >= spliceTo, so
-	// the replayed history and the live stream tile the log exactly.
-	resume     bool
-	resumeFrom uint64
-	spliceTo   uint64
-
-	// lat estimates this session's delivery-latency quantiles (tuple
-	// source timestamp to egress write). Fed by the writer goroutine,
-	// read by the introspection endpoint. Nil when telemetry is off.
-	lat *telemetry.LatencyPair
-
-	dropped atomic.Uint64
-
-	// Degrade-policy state (PolicyDegrade with a Scalable filter only;
-	// gov is nil otherwise). The governor is driven from sendBatch —
-	// one shard worker serializes all sends for a source, so it needs no
-	// lock. scalable is the session's live filter: SetScale must only
-	// run inside a Runtime.Control closure (tuple boundary, owning
-	// worker), which is why decisions go through the applier goroutine
-	// (scaleLoop) instead of being applied inline.
-	gov      *adapt.Governor
-	scalable adapt.Scalable
-	// scaleKick wakes the applier; targetScale carries the float64 bits
-	// of the governor's latest decision. Kicks coalesce — applying only
-	// the newest target is correct because targets are absolute.
-	scaleKick   chan struct{}
-	targetScale atomic.Uint64
 	// qosKick asks the writer to announce the applied scale (qosScale,
 	// float64 bits) to the client with a FrameQoS frame.
 	qosKick  chan struct{}
 	qosScale atomic.Uint64
 
-	// evictKick asks the writer to end the session with a typed notice:
-	// an "evicted: reason" error frame, then disconnect. evictReason is
-	// written once (evictOnce) before the kick.
-	evictKick   chan struct{}
-	evictReason string
-	evictOnce   sync.Once
-
 	// leg, on an edge node, is the upstream relay leg this session fans
-	// out from. Relay members live outside the subscriber registry (a
-	// group's members deliberately share one app name) and outside the
-	// engine; removal refcounts the leg instead of touching a filter.
+	// out from. Relay members are never joined to the core (a group's
+	// members deliberately share one app name); removal refcounts the leg
+	// instead of touching a filter.
 	leg *relayLeg
 	// relayEdge, on a core, names the edge an upstream leg session
 	// belongs to (empty for direct subscribers).
@@ -107,160 +54,43 @@ type subscriber struct {
 }
 
 func newSubscriber(s *Server, app, source string, conn net.Conn, queue int) *subscriber {
-	sub := &subscriber{
-		s:          s,
-		app:        app,
-		source:     source,
-		conn:       conn,
-		out:        make(chan *frameBatch, queue),
-		done:       make(chan struct{}),
-		writerDone: make(chan struct{}),
-		scaleKick:  make(chan struct{}, 1),
-		qosKick:    make(chan struct{}, 1),
-		evictKick:  make(chan struct{}, 1),
-	}
-	sub.targetScale.Store(math.Float64bits(1))
-	if s.tel != nil {
-		sub.lat = telemetry.NewLatencyPair()
-	}
+	sub := &subscriber{s: s, conn: conn, writerDone: make(chan struct{}), qosKick: make(chan struct{}, 1)}
+	sub.m = s.core.NewMember(app, source, queue, sub)
 	return sub
 }
 
-// sendBatch enqueues one release cycle's frames under the server's
-// slow-consumer policy — a single queue operation however many frames
-// the cycle released. It is called from shard workers; batches for one
-// source arrive from one worker at a time, in release order. The batch
-// and every frame reference in it are consumed: either the writer
-// releases them after the vectored write, or they are released here on
-// a drop.
-func (sub *subscriber) sendBatch(b *frameBatch) {
+// QoSApplied implements session.Peer: the writer announces the scale now
+// in effect. An edge's relay leg forwards its core's announcements to
+// every member the same way.
+func (sub *subscriber) QoSApplied(scale float64) {
+	sub.s.lg.Info("subscriber quality scale applied", "app", sub.m.App, "source", sub.m.Source, "scale", scale)
+	sub.qosScale.Store(math.Float64bits(scale))
+	select {
+	case sub.qosKick <- struct{}{}:
+	default:
+	}
+}
+
+// sendBatch enqueues one release cycle's frames under the slow-consumer
+// policy — a single queue operation however many frames the cycle
+// released. The batch and every frame reference in it are consumed:
+// either the writer releases them after the vectored write, or they are
+// released here when the member did not take them. A successful hand-off
+// re-checks the departure latch: the writer's exit sweep (drainQueued)
+// and this send can interleave so the batch lands after the sweep ran,
+// which would strand its frame references outside the pool forever. If
+// the member turns out departed, this sender sweeps the queue itself —
+// channel receives are exactly-once, so however many racing senders
+// sweep, every stranded batch is released exactly once.
+func (s *Server) sendBatch(m *session.Member[*frameBatch], b *frameBatch) {
 	n := uint64(len(b.frames))
-	select {
-	case <-sub.done:
-		// The subscriber already left; frames queued for it are lost.
-		sub.drop(b, n)
-		return
-	default:
-	}
-	switch sub.s.cfg.Policy {
-	case PolicyDrop:
-		select {
-		case sub.out <- b:
-			sub.enqueued(n)
-		default:
-			sub.drop(b, n)
-		}
-	case PolicyDegrade:
-		// Zero-loss like block; additionally, each hand-off feeds the
-		// governor one pressure sample so a backlog tightens the
-		// subscriber's effective spec instead of stalling the pipeline
-		// indefinitely.
-		sub.observePressure()
-		select {
-		case sub.out <- b:
-			sub.enqueued(n)
-		case <-sub.done:
-			sub.drop(b, n)
-		}
-	default: // PolicyBlock
-		select {
-		case sub.out <- b:
-			sub.enqueued(n)
-		case <-sub.done:
-			sub.drop(b, n)
-		}
-	}
-}
-
-// observePressure feeds the degrade governor one sample — queue
-// occupancy plus the session's delivery-p99 estimate — and hands any
-// scale change to the applier. Runs on the source's owning shard
-// worker, which serializes all sends for this subscriber, so the
-// governor state needs no lock.
-func (sub *subscriber) observePressure() {
-	if sub.gov == nil {
+	if !m.Send(b, n) {
+		b.releaseAll()
 		return
 	}
-	var p99 time.Duration
-	if sub.lat != nil {
-		p99 = sub.lat.Snapshot().P99
-	}
-	scale, changed := sub.gov.Observe(time.Now(), len(sub.out), cap(sub.out), p99)
-	if !changed {
-		return
-	}
-	prev := math.Float64frombits(sub.targetScale.Load())
-	sub.targetScale.Store(math.Float64bits(scale))
-	if scale > prev {
-		sub.s.ctr.qosDegrades.Add(1)
-		sub.s.lg.Info("subscriber degraded", "app", sub.app, "source", sub.source, "scale", scale, "queue", len(sub.out), "p99", p99)
-	} else {
-		sub.s.ctr.qosRestores.Add(1)
-		sub.s.lg.Info("subscriber restored", "app", sub.app, "source", sub.source, "scale", scale)
-	}
-	select {
-	case sub.scaleKick <- struct{}{}:
-	default:
-	}
-}
-
-// scaleLoop applies governor decisions to the session's live filter.
-// SetScale must run at a tuple boundary on the source's owning worker,
-// and Control must never be called from that worker (it would enqueue
-// into the ring the worker itself drains), so the applier is its own
-// goroutine: the sender records a target and kicks; the applier applies
-// the newest target, then hands the announcement to the writer.
-func (sub *subscriber) scaleLoop() {
-	defer sub.s.connWG.Done()
-	for {
-		select {
-		case <-sub.done:
-			return
-		case <-sub.writerDone:
-			return
-		case <-sub.scaleKick:
-		}
-		target := math.Float64frombits(sub.targetScale.Load())
-		err := sub.s.runtimeOp(func() error {
-			return sub.s.rt.Control(sub.source, func(*core.Engine) error {
-				return sub.scalable.SetScale(target)
-			})
-		})
-		if err != nil {
-			// The source is finishing or the server draining; the session
-			// is about to end anyway.
-			continue
-		}
-		sub.qosScale.Store(math.Float64bits(target))
-		select {
-		case sub.qosKick <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// enqueued accounts a successful queue hand-off, then re-checks the
-// departure latch: writeLoop's exit sweep (drainQueued) and this send
-// can interleave so the batch lands after the sweep ran, which used to
-// strand its frame references outside the pool forever. If done turns
-// out closed, this sender sweeps the queue itself — channel receives
-// are exactly-once, so however many racing senders sweep, every
-// stranded batch is released exactly once.
-func (sub *subscriber) enqueued(n uint64) {
-	sub.s.ctr.deliveriesOut.Add(n)
-	select {
-	case <-sub.done:
-		sub.drainQueued()
-	default:
-	}
-}
-
-func (sub *subscriber) drop(b *frameBatch, n uint64) {
-	b.releaseAll()
-	dropped := sub.dropped.Add(n)
-	sub.s.ctr.subscriberDrops.Add(n)
-	if limit := sub.s.cfg.EvictAfterDrops; limit > 0 && dropped >= uint64(limit) {
-		sub.evict(fmt.Sprintf("%d deliveries dropped (limit %d)", dropped, limit))
+	s.ctr.deliveriesOut.Add(n)
+	if m.Departed() {
+		drainQueued(m)
 	}
 }
 
@@ -269,57 +99,13 @@ func (sub *subscriber) drop(b *frameBatch, n uint64) {
 // error.
 const evictPrefix = "evicted: "
 
-// evict asks the writer to end the session with a typed eviction
-// notice. Unlike the write-timeout eviction (where the socket itself is
-// the problem), a drop-threshold eviction happens while the connection
-// is writable, so the notice is deliverable.
-func (sub *subscriber) evict(reason string) {
-	sub.evictOnce.Do(func() {
-		select {
-		case <-sub.done:
-			// Already departed; drops past the end are not an eviction.
-			return
-		default:
-		}
-		sub.evictReason = reason
-		sub.s.ctr.subscriberEvictions.Add(1)
-		sub.s.lg.Warn("subscriber evicted", "app", sub.app, "source", sub.source, "reason", reason)
-		select {
-		case sub.evictKick <- struct{}{}:
-		default:
-		}
-	})
-}
-
-// leave marks the subscriber gone: sink sends stop blocking on it and the
-// writer exits without flushing (the peer is not reading anyway).
-func (sub *subscriber) leave() {
-	sub.leaveOnce.Do(func() { close(sub.done) })
-}
-
-// finishStream closes the queue after the source's last flush: the writer
-// drains what remains, sends a goodbye, and closes the connection. Safe
-// only once no sink flush can still target this subscriber.
-func (sub *subscriber) finishStream() {
-	sub.finOnce.Do(func() { close(sub.out) })
-}
-
-// droppedCount returns the deliveries lost to the slow-consumer policy.
-func (sub *subscriber) droppedCount() uint64 { return sub.dropped.Load() }
-
 // drainQueued releases batches left in the queue when the writer exits
 // without delivering them (departure or write error), so an abandoning
-// exit does not strand refcounted frames outside the pool. A batch a
-// racing sink enqueues after this sweep is caught by the sender itself:
-// sendBatch re-checks done after every successful enqueue (enqueued)
-// and runs this sweep again, so no interleaving leaks a frame.
-func (sub *subscriber) drainQueued() {
+// exit does not strand refcounted frames outside the pool.
+func drainQueued(m *session.Member[*frameBatch]) {
 	for {
 		select {
-		case b, ok := <-sub.out:
-			if !ok {
-				return
-			}
+		case b := <-m.Queue():
 			b.releaseAll()
 		default:
 			return
@@ -381,7 +167,7 @@ func (e *egress) flush(sub *subscriber) error {
 				continue
 			}
 			d := time.Duration(now - fr.ts)
-			sub.lat.Observe(d)
+			sub.m.Lat.Observe(d)
 			fr.src.Observe(d)
 			tel.ObserveDelivery(d)
 		}
@@ -401,104 +187,130 @@ func (e *egress) flush(sub *subscriber) error {
 // batches — coalescing whatever is already queued into one vectored
 // write instead of one syscall (or one buffer copy) per frame —
 // heartbeats when idle, and finishes with a goodbye when the stream
-// ends. On an externally initiated departure (done closed by readLoop's
-// removal) it exits without closing the connection: the read side still
-// owes the client its departure ack.
+// ends.
 func (sub *subscriber) writeLoop() {
 	defer sub.s.connWG.Done()
 	defer close(sub.writerDone)
-	defer sub.drainQueued()
-	if sub.resume {
+	defer drainQueued(sub.m)
+	m, cfg := sub.m, &sub.s.cfg
+	fail := func() {
+		sub.s.removeSubscriber(sub)
+		sub.conn.Close()
+	}
+	if m.Resume {
 		// History first: stream the app's slice of the durable log up to
 		// the splice fence. Live deliveries released meanwhile queue up
-		// in out (they all carry offsets >= spliceTo) and drain below in
+		// (they all carry offsets at or above the fence) and drain below in
 		// order, so the client sees one seamless, gapless stream.
 		if err := sub.replay(); err != nil {
-			if !errors.Is(err, errReplayAborted) {
-				sub.s.lg.Warn("replay failed", "source", sub.source, "app", sub.app, "err", err)
-				sub.s.removeSubscriber(sub)
-				sub.conn.Close()
+			if errors.Is(err, errReplayAborted) {
+				sub.departed()
+			} else {
+				sub.s.lg.Warn("replay failed", "source", m.Source, "app", m.App, "err", err)
+				fail()
 			}
 			return
 		}
 	}
 	var e egress
-	goodbye := func() {
-		// A stream end during server drain is tagged so reconnect-aware
-		// subscribers resume against a restarted server instead of
-		// treating the end as the source finishing.
-		var payload []byte
-		if sub.s.isDraining() {
-			payload = goodbyeDrainPayload
+	// write ships the batch just dequeued plus whatever else is already
+	// queued, bounded so one write deadline covers a bounded burst; it
+	// reports whether the queue ran empty.
+	write := func(b *frameBatch) (empty bool, err error) {
+		sub.conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
+		e.stage(b)
+		for !empty && e.bytes < subWriteBatchBytes {
+			select {
+			case more := <-m.Queue():
+				e.stage(more)
+			default:
+				empty = true
+			}
 		}
-		sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
-		_ = WriteFrame(sub.conn, FrameGoodbye, payload)
-		sub.leave()
-		sub.conn.Close()
+		return empty, e.flush(sub)
 	}
-	hb := time.NewTicker(sub.s.cfg.HeartbeatInterval)
+	hb := time.NewTicker(cfg.HeartbeatInterval)
 	defer hb.Stop()
 	for {
 		select {
-		case <-sub.done:
+		case <-m.Done():
+			sub.departed()
 			return
-		case b, ok := <-sub.out:
-			if !ok {
-				goodbye()
+		case b := <-m.Queue():
+			if _, err := write(b); err != nil {
+				fail()
 				return
 			}
-			sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
-			e.stage(b)
-			closed := false
-		coalesce:
-			// Fold batches already queued into this vectored write,
-			// bounded so the deadline covers a bounded burst.
-			for e.bytes < subWriteBatchBytes {
+		case <-m.Fin():
+			// The stream ended and nothing more will be queued: ship what
+			// the queue still holds, then say goodbye.
+			for empty := false; !empty; {
 				select {
-				case more, ok := <-sub.out:
-					if !ok {
-						closed = true
-						break coalesce
+				case b := <-m.Queue():
+					var err error
+					if empty, err = write(b); err != nil {
+						fail()
+						return
 					}
-					e.stage(more)
 				default:
-					break coalesce
+					empty = true
 				}
 			}
-			if err := e.flush(sub); err != nil {
-				sub.s.removeSubscriber(sub)
-				sub.conn.Close()
-				return
-			}
-			if closed {
-				goodbye()
-				return
-			}
-		case <-sub.qosKick:
-			sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
-			if err := WriteFrame(sub.conn, FrameQoS, EncodeQoS(math.Float64frombits(sub.qosScale.Load()))); err != nil {
-				sub.s.removeSubscriber(sub)
-				sub.conn.Close()
-				return
-			}
-		case <-sub.evictKick:
-			// Best-effort notice, then disconnect: the reason rides an
-			// error frame so the client sees a typed eviction, not a bare
-			// EOF.
-			sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
-			_ = WriteFrame(sub.conn, FrameError, []byte(evictPrefix+sub.evictReason))
-			sub.s.removeSubscriber(sub)
+			sub.goodbye()
+			// Mark the session ended server-side for the read side; the
+			// group is already retired, so there is nothing to detach.
+			_ = sub.s.core.Leave(context.Background(), m)
 			sub.conn.Close()
 			return
+		case <-sub.qosKick:
+			sub.conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
+			if err := WriteFrame(sub.conn, FrameQoS, EncodeQoS(math.Float64frombits(sub.qosScale.Load()))); err != nil {
+				fail()
+				return
+			}
 		case <-hb.C:
-			sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
+			sub.conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
 			if err := WriteFrame(sub.conn, FrameHeartbeat, nil); err != nil {
-				sub.s.removeSubscriber(sub)
-				sub.conn.Close()
+				fail()
 				return
 			}
 		}
 	}
+}
+
+// goodbye writes the server's end-of-stream frame. A stream end during
+// server drain is tagged so reconnect-aware subscribers resume against a
+// restarted server instead of treating the end as the source finishing.
+func (sub *subscriber) goodbye() {
+	var payload []byte
+	if sub.s.isDraining() {
+		payload = goodbyeDrainPayload
+	}
+	sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
+	_ = WriteFrame(sub.conn, FrameGoodbye, payload)
+}
+
+// departed handles a departure the writer did not initiate. When the read
+// side left, it owes the client the departure ack and closes the
+// connection itself, so the writer just exits (the peer is not reading
+// what is still queued anyway). Otherwise the core ended the session —
+// an eviction, or a hard abort marking every member gone — and the writer
+// ends the connection: with the typed notice when there is one (a
+// drop-threshold eviction happens while the connection is writable, so
+// the notice is deliverable), with the drain goodbye on an abort.
+func (sub *subscriber) departed() {
+	if sub.clientLeft.Load() {
+		return
+	}
+	if reason := sub.m.EvictReason(); reason != "" {
+		sub.s.lg.Warn("subscriber evicted", "app", sub.m.App, "source", sub.m.Source, "reason", reason)
+		sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
+		_ = WriteFrame(sub.conn, FrameError, []byte(evictPrefix+reason))
+	} else {
+		sub.goodbye()
+	}
+	sub.s.removeSubscriber(sub)
+	sub.conn.Close()
 }
 
 // errReplayAborted marks a replay cut short by the subscriber's own
@@ -513,13 +325,12 @@ var errReplayAborted = errors.New("server: replay aborted by departure")
 // away, to others) are skipped without decoding their tuples.
 func (sub *subscriber) replay() error {
 	var buf []byte
-	err := sub.s.log.Read(sub.source, sub.resumeFrom, sub.spliceTo, func(off uint64, payload []byte) error {
-		select {
-		case <-sub.done:
+	m := sub.m
+	err := sub.s.core.Log().Read(m.Source, m.ResumeFrom, m.SpliceTo, func(off uint64, payload []byte) error {
+		if m.Departed() {
 			return errReplayAborted
-		default:
 		}
-		if !wire.TransmissionHasDestination(payload, sub.app) {
+		if !wire.TransmissionHasDestination(payload, m.App) {
 			return nil
 		}
 		buf = beginFrame(buf[:0], FrameTransmissionOff)
@@ -560,11 +371,10 @@ func (sub *subscriber) readLoop() {
 			break
 		}
 	}
-	select {
-	case <-sub.done:
-		// The session already ended server-side (source finished or
-		// shutdown); the registry entry is gone.
-	default:
+	// If the session already ended server-side (source finished, eviction
+	// or shutdown) there is nothing left to detach or acknowledge.
+	if !sub.m.Departed() {
+		sub.clientLeft.Store(true)
 		sub.s.removeSubscriber(sub)
 		<-sub.writerDone
 		sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))

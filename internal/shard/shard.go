@@ -98,24 +98,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// FromOptions extracts the runtime knobs from engine options. Zero knobs
-// stay zero so several option sets can be merged before defaults apply.
+// FromOptions extracts the runtime knobs from engine options; zero knobs
+// stay zero and take their defaults in New.
 func FromOptions(o core.Options) Config {
 	return Config{Shards: o.ShardCount, QueueDepth: o.QueueDepth, FlushBatch: o.FlushBatch}
-}
-
-// Merge combines two configs by taking the larger of each knob.
-func Merge(a, b Config) Config {
-	if b.Shards > a.Shards {
-		a.Shards = b.Shards
-	}
-	if b.QueueDepth > a.QueueDepth {
-		a.QueueDepth = b.QueueDepth
-	}
-	if b.FlushBatch > a.FlushBatch {
-		a.FlushBatch = b.FlushBatch
-	}
-	return a
 }
 
 // Out is one released transmission tagged with its source.
@@ -781,6 +767,10 @@ func (w *worker) handle(tk task) {
 		var err error
 		if src.failed.Load() {
 			err = fmt.Errorf("shard %d: source %q already failed", w.id, src.name)
+		} else if src.finished {
+			// The control passed lookup but landed behind the finish
+			// marker: same answer as one that lost the race at lookup.
+			err = fmt.Errorf("shard: source %q already %w", src.name, ErrSourceFinished)
 		} else {
 			err = tk.ctl.fn(src.engine)
 			w.collect(src)

@@ -35,10 +35,6 @@ func TestConfigDefaults(t *testing.T) {
 	if rt.cfg.QueueDepth != DefaultQueueDepth || rt.cfg.FlushBatch != DefaultFlushBatch {
 		t.Errorf("defaults not applied: %+v", rt.cfg)
 	}
-	merged := Merge(Config{Shards: 2, QueueDepth: 8}, Config{Shards: 4, FlushBatch: 16})
-	if merged.Shards != 4 || merged.QueueDepth != 8 || merged.FlushBatch != 16 {
-		t.Errorf("merge = %+v", merged)
-	}
 }
 
 func TestShardPartitionIsStable(t *testing.T) {
