@@ -60,7 +60,11 @@ var ErrEvicted = errors.New("broker: subscriber evicted")
 // release time (this subscription is one of them), and the receive
 // instant stamped by Recv.
 type Delivery struct {
-	Tuple        *tuple.Tuple
+	Tuple *tuple.Tuple
+	// Destinations is read-only and may be shared: on the embedded
+	// transport every delivery of one membership and destination pattern
+	// aliases one slice; on the networked one RecvInto rewrites the
+	// caller's slice with the session's interned label strings.
 	Destinations []string
 	ReceivedAt   time.Time
 	// Offset is the delivery's position in the source's durable log when
@@ -78,8 +82,8 @@ type Broker struct {
 }
 
 // New starts an embedded broker. The transport's own settings —
-// BlockTimeout, OnExpire, ShareLabels — are filled in here; cfg carries
-// the rest. With cfg.DataDir set the durable log is opened (and
+// BlockTimeout, OnExpire, ShareLabels, KeepResults — are filled in here;
+// cfg carries the rest. With cfg.DataDir set the durable log is opened (and
 // recovered) first, so a failed recovery surfaces here rather than on the
 // first publish. A source silent past cfg.SourceTimeout is finished as if
 // its owner had called Finish, for embedded publishers that abandon a
@@ -88,6 +92,8 @@ func New(cfg session.Config) (*Broker, error) {
 	cfg.BlockTimeout = evictTimeout
 	// Queued Deliveries alias the label slice of the fan-out view.
 	cfg.ShareLabels = true
+	// Results publishes every source's full engine result.
+	cfg.KeepResults = true
 	// Off the wheel's advance loop, so a long tail flush cannot stall the
 	// expiry of other sources.
 	cfg.OnExpire = func(owner any, _ time.Duration) { go owner.(*Source).Finish(context.Background()) }

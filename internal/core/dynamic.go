@@ -25,6 +25,22 @@ func NewDynamicEngine(opts Options) (*Engine, error) {
 	return newEngine(nil, opts, true)
 }
 
+// NewDrainedEngine is NewDynamicEngine for a caller that takes every
+// released transmission with Released and needs no history — a broker
+// whose sink has already delivered it. The engine decides and releases
+// exactly what a retaining engine would and keeps the counters of Stats
+// exact, but holds on to nothing per transmission: Result().Transmissions,
+// Stats.Latencies and Result().Punctuations stay empty, so its memory
+// follows the open regions, not the length of the stream.
+func NewDrainedEngine(opts Options) (*Engine, error) {
+	e, err := newEngine(nil, opts, true)
+	if err != nil {
+		return nil, err
+	}
+	e.drain = true
+	return e, nil
+}
+
 // AddFilter joins a filter to the live group at a tuple boundary. The
 // filter starts with no open state and sees only tuples fed after the
 // call; the tuples already streamed are not replayed. Filter IDs must stay
@@ -43,6 +59,7 @@ func (e *Engine) AddFilter(f filter.Filter) error {
 	e.slot[f.ID()] = len(e.filters)
 	e.filters = append(e.filters, f)
 	e.open = append(e.open, nil)
+	clear(e.destLists) // keyed by the membership that just changed
 	return nil
 }
 
@@ -72,6 +89,7 @@ func (e *Engine) RemoveFilter(id string) error {
 	for i := idx; i < len(e.filters); i++ {
 		e.slot[e.filters[i].ID()] = i
 	}
+	clear(e.destLists) // keyed by the slots that just moved
 	if !e.started {
 		return nil
 	}

@@ -19,13 +19,14 @@ import (
 // An Engine is single-source and not safe for concurrent use; the shard
 // runtime runs one engine per source, on the source's owning worker.
 //
-// What a Step allocates is what the result retains — one destination list
-// per transmission, plus the amortized growth of Result's slices — and
-// the growth of scratch that has not reached its working size yet.
-// Everything else is reused: utilities live in a generational dense index
-// (state.go), open-set tracking and region scratch are engine-owned and
-// cleared in place, and candidate sets cycle between the filters and the
-// engine.
+// What a Step allocates is what the result retains — the amortized growth
+// of Result's slices, which a drained engine (NewDrainedEngine) does not
+// have — plus one destination list per owner set the group has not used
+// before (dests.go) and the growth of scratch that has not reached its
+// working size yet. Everything else is reused: utilities live in a
+// generational dense index (state.go), open-set tracking and region
+// scratch are engine-owned and cleared in place, and candidate sets cycle
+// between the filters and the engine.
 //
 // Candidate sets. A filter hands a set over when it closes it; from then
 // on this engine holds the only references: in the region tracker until
@@ -69,7 +70,24 @@ type Engine struct {
 	chosenQ    []chosenRec
 	chosenHead int
 
-	distinct       map[int]bool
+	// released marks the tuples counted in Stats.DistinctOutputs that some
+	// open or pending set may still release again; releasedQ lists them so
+	// pruneReleased can retire the ones nothing can (see output.go).
+	released  seqCounts
+	releasedQ []releasedRec
+	pruneAt   int
+	// destLists holds the canonical destination list of every owner set
+	// used under the current membership, keyed by slot bitset (dests.go).
+	destLists map[uint64][]string
+	// drain marks an engine whose releases are taken with Released and
+	// kept nowhere else; out is its release buffer, recycled once taken.
+	drain    bool
+	out      []Transmission
+	outTaken bool
+	// handed counts the transmissions of a retaining engine that Released
+	// has already returned.
+	handed int
+
 	maxReleasedSeq int
 	result         Result
 	now            time.Time
@@ -131,7 +149,7 @@ func newEngine(filters []filter.Filter, opts Options, allowEmpty bool) (*Engine,
 		slot:           slot,
 		predictor:      predict.NewRunTimePredictor(opts.PredictWindow, opts.PredictMargin),
 		chosen:         make(map[int]time.Time),
-		distinct:       make(map[int]bool),
+		pruneAt:        minPruneReleased,
 		maxReleasedSeq: -1,
 		result:         Result{Stats: Stats{PerFilter: make(map[string]int)}},
 	}, nil
@@ -199,6 +217,9 @@ func (e *Engine) Step(t *tuple.Tuple) error {
 		}
 	}
 
+	if len(e.releasedQ) >= e.pruneAt {
+		e.pruneReleased()
+	}
 	e.started, e.lastTS = true, t.TS
 	e.result.Stats.Inputs++
 	e.result.Stats.CPU += time.Since(start)
@@ -236,8 +257,35 @@ func (e *Engine) Finish() error {
 }
 
 // Result returns the accumulated transmissions and statistics. Call after
-// Finish for complete results.
+// Finish for complete results. A drained engine's result holds the
+// statistics' counters only.
 func (e *Engine) Result() *Result { return &e.result }
+
+// Released returns the transmissions released since the previous call, in
+// release order; the shard runtime forwards them to its sink after every
+// call into the engine. On a retaining engine the slice is a window of
+// Result().Transmissions. On a drained engine it is the engine's release
+// buffer, valid until the next call into the engine — the caller copies
+// what it keeps.
+func (e *Engine) Released() []Transmission {
+	if e.drain {
+		e.recycleOut()
+		e.outTaken = len(e.out) > 0
+		return e.out
+	}
+	trs := e.result.Transmissions[e.handed:]
+	e.handed = len(e.result.Transmissions)
+	return trs
+}
+
+// recycleOut empties a drained engine's release buffer once Released has
+// handed its contents over, so the reused array pins no tuple.
+func (e *Engine) recycleOut() {
+	if e.outTaken {
+		clear(e.out)
+		e.out, e.outTaken = e.out[:0], false
+	}
+}
 
 // Run drives a complete series through a fresh engine.
 func Run(filters []filter.Filter, sr *tuple.Series, opts Options) (*Result, error) {
@@ -410,7 +458,7 @@ func (e *Engine) handleRegion(r *region.Region) error {
 		default:
 			e.mergeRelease(outs, e.now)
 		}
-		if e.opts.EmitPunctuations {
+		if e.opts.EmitPunctuations && !e.drain {
 			_, max := r.Cover()
 			e.result.Punctuations = append(e.result.Punctuations, Punctuation{At: e.now, Horizon: max})
 		}
@@ -463,25 +511,10 @@ func (e *Engine) decideRegion(r *region.Region, size, decided int, outs []pendin
 		}
 		for _, pk := range picks {
 			// A pick's destinations are the owners of the undecided sets
-			// it was credited to. The list is built once, at its final
-			// size; mergeRelease keeps it when no other output shares the
-			// tuple.
-			n := 0
-			for _, cs := range pk.Sets {
-				if !cs.Decided {
-					n++
-				}
+			// it was credited to.
+			if dests := e.pickDests(pk.Sets); dests != nil {
+				outs = append(outs, pendingOut{t: pk.Tuple, dests: dests})
 			}
-			if n == 0 {
-				continue
-			}
-			dests := make([]string, 0, n)
-			for _, cs := range pk.Sets {
-				if !cs.Decided && !containsLabel(dests, cs.Owner) {
-					dests = append(dests, cs.Owner)
-				}
-			}
-			outs = append(outs, pendingOut{t: pk.Tuple, dests: dests})
 		}
 	}
 	// The picks are read; drop the greedy input so the scratch pins no set
@@ -490,17 +523,6 @@ func (e *Engine) decideRegion(r *region.Region, size, decided int, outs []pendin
 	clear(greedySets)
 	e.greedyBuf = greedySets[:0]
 	return outs, err
-}
-
-// containsLabel reports whether the destination list already carries the
-// label.
-func containsLabel(dests []string, label string) bool {
-	for _, d := range dests {
-		if d == label {
-			return true
-		}
-	}
-	return false
 }
 
 // releaseBatch releases the batched output buffer.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"time"
 
@@ -13,7 +14,10 @@ import (
 // The multicast protocol labels each tuple with its destination list so it
 // crosses any network link at most once (§1.2).
 type Transmission struct {
-	Tuple        *tuple.Tuple
+	Tuple *tuple.Tuple
+	// Destinations is sorted and read-only: transmissions with the same
+	// destinations share one list (dests.go), and a consumer may keep it
+	// but never write to it.
 	Destinations []string
 	ReleasedAt   time.Time
 }
@@ -109,19 +113,27 @@ type Result struct {
 // pendingOut is a decided output waiting for its release time. The common
 // single-destination case (a set decided for its owner) uses dest so
 // staging a decision allocates nothing; region greedy picks shared by
-// several owners carry dests, a list of exactly that size which nothing
-// else references.
+// several owners carry dests, a sorted list nothing writes to again.
 type pendingOut struct {
 	t     *tuple.Tuple
 	dest  string
 	dests []string
 }
 
+// labels returns the output's destination labels; one backs the
+// single-destination case.
+func (po *pendingOut) labels(one *[1]string) []string {
+	if po.dests != nil {
+		return po.dests
+	}
+	one[0] = po.dest
+	return one[:]
+}
+
 // mergeRelease folds pending outputs released at the same instant into
 // transmissions in sequence order, merging the destination lists of the
-// same tuple, and records stats. Destination lists are sorted for
-// determinism. The only allocation is the destination list the result
-// retains, and an output that alone carries its tuple donates its own.
+// same tuple (sorted, for determinism), and records stats. An output that
+// alone carries its tuple donates its list.
 func (e *Engine) mergeRelease(outs []pendingOut, releasedAt time.Time) {
 	// Order indices, not the outputs: those are full of pointers, and
 	// moving them costs write barriers. Ties keep staging order.
@@ -137,26 +149,22 @@ func (e *Engine) mergeRelease(outs []pendingOut, releasedAt time.Time) {
 	for len(order) > 0 {
 		first := &outs[order[0]]
 		t, seq := first.t, first.t.Seq
-		n, same := 0, 0
+		same := 1
 		for same < len(order) && outs[order[same]].t.Seq == seq {
-			n += max(1, len(outs[order[same]].dests))
 			same++
 		}
 		dests := first.dests
 		if same > 1 || dests == nil {
-			dests = make([]string, 0, n)
-			for _, i := range order[:same] {
-				if po := &outs[i]; po.dests != nil {
-					dests = append(dests, po.dests...)
-				} else {
-					dests = append(dests, po.dest)
-				}
-			}
+			dests = e.mergedDests(outs, order[:same])
 		}
 		order = order[same:]
-		slices.Sort(dests)
-		e.result.Transmissions = append(e.result.Transmissions,
-			Transmission{Tuple: t, Destinations: dests, ReleasedAt: releasedAt})
+		tr := Transmission{Tuple: t, Destinations: dests, ReleasedAt: releasedAt}
+		if e.drain {
+			e.recycleOut()
+			e.out = append(e.out, tr)
+		} else {
+			e.result.Transmissions = append(e.result.Transmissions, tr)
+		}
 		if seq < e.maxReleasedSeq {
 			st.MultiplexDisorder++
 		} else {
@@ -164,14 +172,56 @@ func (e *Engine) mergeRelease(outs []pendingOut, releasedAt time.Time) {
 		}
 		st.Transmissions++
 		st.Deliveries += len(dests)
-		if !e.distinct[seq] {
-			e.distinct[seq] = true
+		if e.released.get(seq) == 0 {
+			e.released.inc(seq)
+			e.releasedQ = append(e.releasedQ, releasedRec{seq: seq, ts: t.TS.UnixNano()})
 			st.DistinctOutputs++
 		}
 		lat := releasedAt.Sub(t.TS) + e.opts.MulticastDelay
 		for _, d := range dests {
 			st.PerFilter[d]++
-			st.Latencies = append(st.Latencies, lat)
+			if !e.drain {
+				st.Latencies = append(st.Latencies, lat)
+			}
 		}
 	}
+}
+
+// releasedRec is one tuple counted in Stats.DistinctOutputs.
+type releasedRec struct {
+	seq int
+	ts  int64 // source timestamp, Unix nanoseconds
+}
+
+// minPruneReleased is the fewest counted tuples worth a pruning pass.
+const minPruneReleased = 256
+
+// pruneReleased forgets the counted tuples nothing can release again, so
+// the record behind Stats.DistinctOutputs follows the open regions instead
+// of the stream. A tuple is released again only as a member of an open
+// set, of a closed set whose region is still pending, or of the batch
+// buffer; source timestamps strictly increase, so every tuple older than
+// the oldest of those is done. It runs between steps (the per-step buffer
+// is empty then) once the record has doubled since the last pass, which
+// keeps the cost per release constant. The count stays exact for a source
+// whose sequence numbers identify its tuples; one that sent a number twice
+// could see the second counted again.
+func (e *Engine) pruneReleased() {
+	low := int64(math.MaxInt64)
+	if oldest, ok := e.oldestActive(); ok {
+		low = oldest.UnixNano()
+	}
+	for i := range e.batchBuf {
+		low = min(low, e.batchBuf[i].t.TS.UnixNano())
+	}
+	keep := e.releasedQ[:0]
+	for _, r := range e.releasedQ {
+		if r.ts >= low {
+			keep = append(keep, r)
+		} else {
+			e.released.dec(r.seq)
+		}
+	}
+	e.releasedQ = keep
+	e.pruneAt = max(minPruneReleased, 2*len(keep))
 }

@@ -15,12 +15,15 @@ import (
 const DefaultWindow = 10
 
 // LinearModel is an online least-squares fit y = slope*x + intercept over a
-// sliding window of observations. The zero value is ready to use with the
+// sliding window of observations, kept in a fixed ring: observing never
+// allocates once the ring exists. The zero value is ready to use with the
 // default window.
 type LinearModel struct {
 	window int
-	xs     []float64
-	ys     []float64
+	// xs and ys hold the window; the oldest observation is at head and the
+	// n retained ones follow it, wrapping around.
+	xs, ys  []float64
+	head, n int
 }
 
 // NewLinearModel creates a model with the given sliding-window size;
@@ -35,39 +38,47 @@ func NewLinearModel(window int) *LinearModel {
 // Observe records one (x, y) observation, evicting the oldest when the
 // window is full.
 func (m *LinearModel) Observe(x, y float64) {
-	if m.window == 0 {
-		m.window = DefaultWindow
+	if m.xs == nil {
+		if m.window == 0 {
+			m.window = DefaultWindow
+		}
+		m.xs, m.ys = make([]float64, m.window), make([]float64, m.window)
 	}
-	m.xs = append(m.xs, x)
-	m.ys = append(m.ys, y)
-	if len(m.xs) > m.window {
-		m.xs = m.xs[1:]
-		m.ys = m.ys[1:]
+	// The slot after the newest observation — the oldest one's when full.
+	i := (m.head + m.n) % m.window
+	if m.n == m.window {
+		m.head = (m.head + 1) % m.window
+	} else {
+		m.n++
 	}
+	m.xs[i], m.ys[i] = x, y
 }
 
 // Len returns the number of retained observations.
-func (m *LinearModel) Len() int { return len(m.xs) }
+func (m *LinearModel) Len() int { return m.n }
 
 // Fit returns the current slope and intercept. With fewer than two
 // observations, or a degenerate (constant-x) window, it falls back to a
-// flat model through the mean of y.
+// flat model through the mean of y. The sums run oldest to newest, so the
+// floating-point result depends on the window's contents alone.
 func (m *LinearModel) Fit() (slope, intercept float64) {
-	n := float64(len(m.xs))
-	if n == 0 {
+	n := float64(m.n)
+	if m.n == 0 {
 		return 0, 0
 	}
 	var sx, sy float64
-	for i := range m.xs {
+	for k := 0; k < m.n; k++ {
+		i := (m.head + k) % m.window
 		sx += m.xs[i]
 		sy += m.ys[i]
 	}
-	if len(m.xs) == 1 {
+	if m.n == 1 {
 		return 0, sy
 	}
 	mx, my := sx/n, sy/n
 	var sxx, sxy float64
-	for i := range m.xs {
+	for k := 0; k < m.n; k++ {
+		i := (m.head + k) % m.window
 		dx := m.xs[i] - mx
 		sxx += dx * dx
 		sxy += dx * (m.ys[i] - my)
@@ -88,7 +99,7 @@ func (m *LinearModel) Predict(x float64) float64 {
 // String implements fmt.Stringer for diagnostics.
 func (m *LinearModel) String() string {
 	s, i := m.Fit()
-	return fmt.Sprintf("y = %.4g*x + %.4g (n=%d)", s, i, len(m.xs))
+	return fmt.Sprintf("y = %.4g*x + %.4g (n=%d)", s, i, m.n)
 }
 
 // RunTimePredictor predicts how long the greedy hitting-set algorithm will

@@ -116,3 +116,46 @@ func TestLinearModelString(t *testing.T) {
 		t.Error("String() empty")
 	}
 }
+
+// TestLinearModelObserveZeroAllocs gates the fixed ring: once the window
+// exists, observing (and fitting) allocates nothing however long the
+// stream. The sliding-slice window this replaced reallocated every
+// `window` observations.
+func TestLinearModelObserveZeroAllocs(t *testing.T) {
+	m := NewLinearModel(10)
+	m.Observe(1, 1) // the ring is allocated by the first observation
+	x := 2.0
+	if avg := testing.AllocsPerRun(1000, func() {
+		m.Observe(x, 2*x)
+		m.Predict(x + 1)
+		x++
+	}); avg != 0 {
+		t.Errorf("Observe+Predict allocates %.2f objects per call, want 0", avg)
+	}
+}
+
+// TestLinearModelRingMatchesSlidingWindow holds the ring to the exact
+// floating-point results of a window kept as a slice in arrival order:
+// the engine's timely cuts compare predictions against a deadline, so a
+// fit that differed in the last bit could move a cut.
+func TestLinearModelRingMatchesSlidingWindow(t *testing.T) {
+	const window = 7
+	m := NewLinearModel(window)
+	var xs, ys []float64
+	for i := 0; i < 100; i++ {
+		x, y := float64(i%13)+0.1*float64(i), 1e3/float64(i+1)+float64(i*i%17)
+		m.Observe(x, y)
+		xs, ys = append(xs, x), append(ys, y)
+		if len(xs) > window {
+			xs, ys = xs[1:], ys[1:]
+		}
+		// The reference keeps its window as a plain slice in arrival
+		// order: head 0, no wrap-around.
+		ref := LinearModel{window: len(xs), xs: xs, ys: ys, n: len(xs)}
+		s, c := m.Fit()
+		rs, rc := ref.Fit()
+		if s != rs || c != rc || m.Len() != len(xs) {
+			t.Fatalf("after %d observations: ring fit (%v, %v) n=%d, sliding window (%v, %v) n=%d", i+1, s, c, m.Len(), rs, rc, len(xs))
+		}
+	}
+}

@@ -19,32 +19,63 @@ import (
 	"gasf/internal/wire"
 )
 
+// deadlineWatch interrupts a connection's blocking operations when a
+// context is cancelled: context.AfterFunc arms an immediate deadline
+// through set (the connection's read, write or combined deadline).
+type deadlineWatch struct {
+	done <-chan struct{}
+	set  func(time.Time) error
+	// stop unregisters the watcher and reports whether it did so before
+	// the watcher ran; fired is closed by the watcher once its deadline
+	// write has landed.
+	stop  func() bool
+	fired chan struct{}
+}
+
+// watchDeadline arms a watcher for a cancellable ctx.
+func watchDeadline(ctx context.Context, set func(time.Time) error) *deadlineWatch {
+	w := &deadlineWatch{done: ctx.Done(), set: set, fired: make(chan struct{})}
+	w.stop = context.AfterFunc(ctx, func() {
+		set(time.Unix(1, 0))
+		close(w.fired)
+	})
+	return w
+}
+
+// retire unregisters the watcher and reports whether it had fired. A
+// watcher that has started (perhaps after the operation finished) is
+// waited for, so that its deadline write lands before the deadline is
+// cleared: cleared first, the write would poison every later operation on
+// the session.
+func (w *deadlineWatch) retire() (fired bool) {
+	if w.stop() {
+		return false
+	}
+	<-w.fired
+	w.set(time.Time{})
+	return true
+}
+
 // withConnCtx runs one blocking connection operation under a context: if
-// ctx fires mid-operation, an immediate deadline is armed on the
-// connection so the operation unblocks, and the context error is
-// reported instead of the deadline error. The fast path — a context that
-// can never fire — costs nothing. set must arm the deadline relevant to
-// op (read, write, or both).
-func withConnCtx(ctx context.Context, set func(time.Time) error, op func() error) error {
+// ctx fires mid-operation the operation unblocks, and the context error is
+// reported instead of the deadline error. The deadline armed is the write
+// deadline when op only writes, both otherwise. The fast path — a context
+// that can never fire — goes straight to op, before anything is built
+// that would outlive the call.
+func withConnCtx(ctx context.Context, conn net.Conn, writeOnly bool, op func() error) error {
 	if ctx == nil || ctx.Done() == nil {
 		return op()
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	fired := make(chan struct{})
-	stop := context.AfterFunc(ctx, func() {
-		set(time.Unix(1, 0))
-		close(fired)
-	})
+	set := conn.SetDeadline
+	if writeOnly {
+		set = conn.SetWriteDeadline
+	}
+	w := watchDeadline(ctx, set)
 	err := op()
-	if !stop() {
-		// The cancel func has started (perhaps after op finished); wait
-		// for its deadline write to land before disarming, or the
-		// disarm could be overwritten and poison every later call on
-		// the session.
-		<-fired
-		set(time.Time{})
+	if w.retire() {
 		if cerr := ctx.Err(); cerr != nil && err != nil {
 			return cerr
 		}
@@ -298,12 +329,12 @@ func (p *Publisher) PublishBatch(tuples []*tuple.Tuple) error {
 // PublishContext is Publish bounded by ctx (the write unblocks when ctx
 // fires).
 func (p *Publisher) PublishContext(ctx context.Context, t *tuple.Tuple) error {
-	return withConnCtx(ctx, p.conn.SetWriteDeadline, func() error { return p.Publish(t) })
+	return withConnCtx(ctx, p.conn, true, func() error { return p.Publish(t) })
 }
 
 // PublishBatchContext is PublishBatch bounded by ctx.
 func (p *Publisher) PublishBatchContext(ctx context.Context, tuples []*tuple.Tuple) error {
-	return withConnCtx(ctx, p.conn.SetWriteDeadline, func() error { return p.PublishBatch(tuples) })
+	return withConnCtx(ctx, p.conn, true, func() error { return p.PublishBatch(tuples) })
 }
 
 // Sync is the publish barrier: it sends a ping and blocks until the
@@ -321,7 +352,7 @@ func (p *Publisher) Sync(ctx context.Context) error {
 	p.pingSeq++
 	var nonce [8]byte
 	binary.LittleEndian.PutUint64(nonce[:], p.pingSeq)
-	return withConnCtx(ctx, p.conn.SetDeadline, func() error {
+	return withConnCtx(ctx, p.conn, false, func() error {
 		if err := WriteFrame(p.conn, FramePing, nonce[:]); err != nil {
 			return fmt.Errorf("server: sending ping: %w", err)
 		}
@@ -376,7 +407,10 @@ func (p *Publisher) Close() error {
 // full destination label list the engine decided (this subscriber is one
 // of them), and the client receive instant.
 type Delivery struct {
-	Tuple        *tuple.Tuple
+	Tuple *tuple.Tuple
+	// Destinations is read-only: Recv allocates it per delivery, RecvInto
+	// reuses its backing array and fills it with label strings interned
+	// per session, shared by every delivery that names the label.
 	Destinations []string
 	ReceivedAt   time.Time
 	// Offset is the durable log offset of this transmission, valid when
@@ -408,6 +442,10 @@ type Subscriber struct {
 	// qos holds the float64 bits of the last FrameQoS announcement
 	// (0 until any arrives, read as scale 1).
 	qos atomic.Uint64
+
+	// watch is the armed receive-cancellation watcher, nil when none is;
+	// see armRecv.
+	watch atomic.Pointer[deadlineWatch]
 
 	mu     sync.Mutex
 	closed bool
@@ -549,12 +587,15 @@ func (c *Subscriber) Recv() (*Delivery, error) {
 	}
 }
 
-// RecvInto is the allocation-free Recv: it blocks for the next delivery
-// and decodes it into d, reusing d.Tuple (allocated on first use), the
-// Destinations backing array, and per-session interned label strings.
-// Everything reachable from d is valid only until the next RecvInto with
-// the same Delivery; consumers that retain tuples across receives must
-// use Recv. It returns ErrStreamEnded like Recv.
+// RecvInto is Recv without the per-delivery allocations: it blocks for the
+// next delivery and decodes it into d, reusing d.Tuple (allocated on first
+// use), the Destinations backing array, the session's payload buffer and
+// its interned label strings. Once those have reached their working size a
+// delivery allocates nothing (TestRecvIntoZeroAllocs); a destination label
+// not seen before costs its string. Everything reachable from d is valid
+// only until the next RecvInto with the same Delivery; consumers that
+// retain tuples across receives must use Recv. It returns ErrStreamEnded
+// like Recv.
 func (c *Subscriber) RecvInto(d *Delivery) error {
 	for {
 		kind, payload, err := ReadFrameInto(c.br, c.buf)
@@ -621,21 +662,85 @@ func splitOffset(kind byte, payload []byte) (body []byte, offset uint64, err err
 	return payload[8:], binary.LittleEndian.Uint64(payload), nil
 }
 
+// armRecv readies the session for one receive bounded by ctx. A context
+// that can never be cancelled needs nothing. A cancellable one needs a
+// watcher on the read deadline, which costs a channel, a registration and
+// a closure — so the watcher outlives the call that armed it and serves
+// every later call whose context has the same Done channel: a consumer
+// looping on one cancellable context pays for it once. armRecv reports
+// ctx's error when ctx is already done. The consumer side of a session is
+// single-threaded; only Close may run beside it.
+func (c *Subscriber) armRecv(ctx context.Context) error {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
+	if w := c.watch.Load(); w != nil {
+		if w.done == done {
+			select {
+			case <-done:
+				c.disarmRecv()
+				return ctx.Err()
+			default:
+				return nil
+			}
+		}
+		c.disarmRecv()
+	}
+	if done == nil {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	c.watch.Store(watchDeadline(ctx, c.conn.SetReadDeadline))
+	return nil
+}
+
+// disarmRecv retires the armed watcher, if any, and reports whether it had
+// fired.
+func (c *Subscriber) disarmRecv() (fired bool) {
+	w := c.watch.Swap(nil)
+	return w != nil && w.retire()
+}
+
+// recvFailed settles a failed receive: the watcher is retired (the session
+// is ending, or the next call arms a fresh one), and when it was the
+// watcher that interrupted the read the context's error is reported
+// instead of the deadline error.
+func (c *Subscriber) recvFailed(ctx context.Context, err error) error {
+	if c.disarmRecv() {
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+	}
+	return err
+}
+
 // RecvContext is Recv bounded by ctx (the blocking read unblocks when
 // ctx fires).
 func (c *Subscriber) RecvContext(ctx context.Context) (*Delivery, error) {
-	var d *Delivery
-	err := withConnCtx(ctx, c.conn.SetReadDeadline, func() error {
-		var e error
-		d, e = c.Recv()
-		return e
-	})
-	return d, err
+	if err := c.armRecv(ctx); err != nil {
+		return nil, err
+	}
+	d, err := c.Recv()
+	if err != nil {
+		return nil, c.recvFailed(ctx, err)
+	}
+	return d, nil
 }
 
-// RecvIntoContext is RecvInto bounded by ctx.
+// RecvIntoContext is RecvInto bounded by ctx. A context that cannot be
+// cancelled adds nothing to RecvInto; a cancellable one costs its watcher
+// once (see armRecv), not per delivery.
 func (c *Subscriber) RecvIntoContext(ctx context.Context, d *Delivery) error {
-	return withConnCtx(ctx, c.conn.SetReadDeadline, func() error { return c.RecvInto(d) })
+	if err := c.armRecv(ctx); err != nil {
+		return err
+	}
+	if err := c.RecvInto(d); err != nil {
+		return c.recvFailed(ctx, err)
+	}
+	return nil
 }
 
 // Close leaves the group: the server removes this application's filter,
@@ -647,6 +752,11 @@ func (c *Subscriber) Close() error {
 		return nil
 	}
 	c.closed = true
+	if w := c.watch.Swap(nil); w != nil {
+		// Unregister only: the connection is going away, and a receive
+		// this Close is about to unblock may be running beside it.
+		w.stop()
+	}
 	_ = WriteFrame(c.conn, FrameGoodbye, nil)
 	return c.conn.Close()
 }
@@ -665,7 +775,9 @@ func (c *Subscriber) Leave(ctx context.Context) error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	err := withConnCtx(ctx, c.conn.SetDeadline, func() error {
+	// A receive watcher left armed would cut the drain below short.
+	c.disarmRecv()
+	err := withConnCtx(ctx, c.conn, false, func() error {
 		if err := WriteFrame(c.conn, FrameGoodbye, nil); err != nil {
 			// The server already tore the session down (stream ended or
 			// drained); there is no group membership left to wait on.

@@ -29,6 +29,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -142,34 +143,63 @@ func WriteFrame(w io.Writer, kind byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, rejecting payloads over MaxFramePayload.
-func ReadFrame(r io.Reader) (byte, []byte, error) {
-	kind, payload, err := ReadFrameInto(r, nil)
-	return kind, payload, err
+// parseFrameHeader splits an encoded frame header into the frame kind and
+// the payload length, rejecting lengths over MaxFramePayload.
+func parseFrameHeader(hdr []byte) (kind byte, n uint32, err error) {
+	n = binary.LittleEndian.Uint32(hdr[1:])
+	if n > MaxFramePayload {
+		return 0, 0, fmt.Errorf("server: frame payload %d exceeds limit", n)
+	}
+	return hdr[0], n, nil
 }
 
-// ReadFrameInto is ReadFrame with a caller-recycled payload buffer: the
-// returned payload aliases buf (grown as needed) and is valid only until
-// the next call with the same buffer. Read loops that decode payloads
-// without retaining them use it to keep the steady state allocation-free;
-// it returns the payload so the caller can carry the grown buffer
-// forward.
-func ReadFrameInto(r io.Reader, buf []byte) (byte, []byte, error) {
+// ReadFrame reads one frame straight off r, consuming exactly the frame's
+// bytes and allocating its payload. It is for one-off reads on an
+// unbuffered connection (hellos, hello answers, a publisher's pong);
+// read loops use ReadFrameInto.
+func ReadFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	kind, n, err := parseFrameHeader(hdr[:])
+	if err != nil {
+		return 0, nil, err
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, nil, fmt.Errorf("server: truncated frame payload: %w", err)
+	}
+	return kind, payload, nil
+}
+
+// ReadFrameInto reads one frame from a read loop's buffered reader into a
+// caller-recycled payload buffer: the returned payload aliases buf (grown
+// as needed) and is valid only until the next call with the same buffer.
+// The header is parsed in place in the reader's buffer, so a frame whose
+// payload fits buf costs no allocation; the payload is returned even on
+// error so the caller can carry the grown buffer forward. A stream that
+// ends between frames reports io.EOF, one that ends inside a header
+// io.ErrUnexpectedEOF.
+func ReadFrameInto(br *bufio.Reader, buf []byte) (byte, []byte, error) {
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, buf, err
 	}
-	kind := hdr[0]
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > MaxFramePayload {
-		return 0, buf, fmt.Errorf("server: frame payload %d exceeds limit", n)
+	kind, n, err := parseFrameHeader(hdr)
+	if err != nil {
+		return 0, buf, err
 	}
+	br.Discard(frameHeaderLen)
 	if uint32(cap(buf)) < n {
 		buf = make([]byte, n)
 	} else {
 		buf = buf[:n]
 	}
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(br, buf); err != nil {
 		return 0, buf, fmt.Errorf("server: truncated frame payload: %w", err)
 	}
 	return kind, buf, nil

@@ -161,9 +161,10 @@ func (c Config) withDefaults() Config {
 
 // session maps the transport's configuration onto the core's: the shared
 // subset verbatim, and this transport's fixed choices for the rest — no
-// block timeout (the writer's WriteTimeout ends a stuck session) and
-// labels rewritten in place (frames carry them encoded, nothing aliases
-// the slice).
+// block timeout (the writer's WriteTimeout ends a stuck session), labels
+// rewritten in place (frames carry them encoded, nothing aliases the
+// slice) and drained engines (a release is on the wire or in the log; the
+// server reads counters, never an engine's history).
 func (c Config) session(onExpire func(owner any, lag time.Duration)) session.Config {
 	return session.Config{
 		Engine:               c.Engine,
@@ -531,10 +532,43 @@ const (
 	streamReadBuf = 32 << 10
 )
 
-// readSource is the publisher read loop. Reads are buffered and the
-// payload buffer is recycled across frames (decoded tuples copy what they
-// keep), so steady-state ingest does not allocate per frame. Ingest is
-// opportunistically batched: tuples whose frames are already sitting in
+// ingestSlab is how many tuples readSource decodes into one slab: the
+// tuple headers and their values are allocated a slab at a time, two
+// allocations per ingestSlab tuples instead of two per tuple. A tuple
+// keeps its whole slab reachable, which is harmless because nothing
+// downstream holds a tuple past its region — drained engines keep no
+// history — and is why a slab is small. ingestSlabValues caps a slab's
+// value array for wide schemas.
+const (
+	ingestSlab       = 64
+	ingestSlabValues = 4096
+)
+
+// tupleSlab hands out tuples of one schema from slabs; see ingestSlab.
+type tupleSlab struct {
+	width  int
+	tuples []tuple.Tuple
+	values []float64
+}
+
+// next returns a fresh tuple whose Values has room for exactly one
+// schema-width row and nothing beyond it, which is what makes
+// wire.DecodeTupleInto fill it in place.
+func (sl *tupleSlab) next() *tuple.Tuple {
+	if len(sl.tuples) == 0 {
+		n := max(1, min(ingestSlab, ingestSlabValues/sl.width))
+		sl.tuples, sl.values = make([]tuple.Tuple, n), make([]float64, n*sl.width)
+	}
+	t := &sl.tuples[0]
+	t.Values = sl.values[:sl.width:sl.width]
+	sl.tuples, sl.values = sl.tuples[1:], sl.values[sl.width:]
+	return t
+}
+
+// readSource is the publisher read loop. Reads are buffered, the payload
+// buffer is recycled across frames and tuples are decoded into slabs
+// (ingestSlab), so steady-state ingest allocates per slab, not per frame.
+// Ingest is opportunistically batched: tuples whose frames are already sitting in
 // the read buffer are submitted to the shard ring together, one
 // synchronization per run, while a lone tuple still submits immediately —
 // batching never waits for bytes that have not arrived.
@@ -550,6 +584,7 @@ func (s *Server) readSource(src *sourceSession) {
 		flushN = shard.DefaultFlushBatch
 	}
 	batch := make([]*tuple.Tuple, 0, flushN)
+	slab := tupleSlab{width: src.Schema.Len()}
 	// frameBuffered reports whether a whole frame — header and payload —
 	// is already sitting in the read buffer. A buffered header alone is
 	// not enough: continuing to accumulate would park staged tuples
@@ -620,15 +655,15 @@ func (s *Server) readSource(src *sourceSession) {
 					br = bufio.NewReaderSize(src.conn, streamReadBuf)
 				}
 			}
-			var t *tuple.Tuple
+			t := slab.next()
 			var n int
 			var err error
 			if s.tel.Sample(telemetry.StageIngestDecode) {
 				t0 := time.Now()
-				t, n, err = wire.DecodeTuple(src.Schema, payload)
+				n, err = wire.DecodeTupleInto(t, src.Schema, payload)
 				s.tel.Observe(telemetry.StageIngestDecode, time.Since(t0))
 			} else {
-				t, n, err = wire.DecodeTuple(src.Schema, payload)
+				n, err = wire.DecodeTupleInto(t, src.Schema, payload)
 			}
 			if err == nil && n != len(payload) {
 				err = fmt.Errorf("tuple frame carries %d trailing bytes", len(payload)-n)

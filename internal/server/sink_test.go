@@ -27,14 +27,19 @@ type sinkFixture struct {
 
 func newSinkFixture(t *testing.T) *sinkFixture {
 	t.Helper()
+	// Telemetry sampling every event: the fan-out alloc gate below must
+	// hold with the stage timers fully hot, not just at the default
+	// 1-in-64 sampling.
+	return newSinkFixtureWith(t, Config{Policy: PolicyDrop, Logf: t.Logf, TelemetrySampleEvery: 1, SourceTimeout: -1})
+}
+
+func newSinkFixtureWith(t *testing.T, cfg Config) *sinkFixture {
+	t.Helper()
 	schema, err := tuple.NewSchema("v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Telemetry sampling every event: the fan-out alloc gate below must
-	// hold with the stage timers fully hot, not just at the default
-	// 1-in-64 sampling.
-	cfg := Config{Policy: PolicyDrop, Logf: t.Logf, TelemetrySampleEvery: 1, SourceTimeout: -1}.withDefaults()
+	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, lg: cfg.resolveLogger()}
 	if s.core, err = session.New[*frameBatch](cfg.session(nil), s.sink); err != nil {
 		t.Fatal(err)
@@ -55,8 +60,12 @@ func newSinkFixture(t *testing.T) *sinkFixture {
 // subscribe joins a queue-only subscriber session (no connection, no
 // writer) with a pass-all spec.
 func (fx *sinkFixture) subscribe(app string, queue int) *subscriber {
+	return fx.subscribeSpec(app, queue, "DC1(v, 0.5, 0)")
+}
+
+func (fx *sinkFixture) subscribeSpec(app string, queue int, spec string) *subscriber {
 	sub := newSubscriber(fx.s, app, "s1", nil, queue)
-	if err := fx.s.core.Join(context.Background(), sub.m, quality.MustParse("DC1(v, 0.5, 0)")); err != nil {
+	if err := fx.s.core.Join(context.Background(), sub.m, quality.MustParse(spec)); err != nil {
 		panic(err)
 	}
 	return sub

@@ -120,6 +120,9 @@ type egress struct {
 	bufs   net.Buffers
 	frames []*frame
 	bytes  int
+	// wr is the copy of bufs one write consumes; a field because WriteTo
+	// takes its address, which would move a local to the heap every flush.
+	wr net.Buffers
 }
 
 // stage appends a queued batch's frames to the pending vectored write
@@ -150,8 +153,9 @@ func (e *egress) flush(sub *subscriber) error {
 	// WriteTo consumes the slice it is called on (advancing the header
 	// past written buffers), so it runs on a copy: e.bufs keeps the
 	// original header and its capacity survives the reset below.
-	bb := e.bufs
-	n, err := bb.WriteTo(sub.conn)
+	e.wr = e.bufs
+	n, err := e.wr.WriteTo(sub.conn)
+	e.wr = nil
 	sub.s.ctr.bytesOut.Add(uint64(n))
 	if !t0.IsZero() {
 		tel.Observe(telemetry.StageEgressWrite, time.Since(t0))

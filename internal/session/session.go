@@ -136,6 +136,12 @@ type Config struct {
 	// must allocate a fresh slice instead of rewriting the old one in
 	// place.
 	ShareLabels bool
+	// KeepResults makes every source's engine retain what it released
+	// (transmissions, latency samples) for Runtime().Results(), which the
+	// embedded broker publishes. Without it the engines are drained: the
+	// sink is the only consumer of a release, and a source's memory
+	// follows its open regions instead of the length of its stream.
+	KeepResults bool
 }
 
 func (c Config) withDefaults() Config {

@@ -66,7 +66,11 @@ func (c *Core[T]) OpenSource(src *Source[T]) error {
 	if c.sources[src.Name] != nil {
 		return fmt.Errorf("source %q already open", src.Name)
 	}
-	engine, err := core.NewDynamicEngine(c.cfg.Engine)
+	newEngine := core.NewDrainedEngine
+	if c.cfg.KeepResults {
+		newEngine = core.NewDynamicEngine
+	}
+	engine, err := newEngine(c.cfg.Engine)
 	if err != nil {
 		return err
 	}

@@ -260,6 +260,93 @@ func runEquivalenceCases(t *testing.T, seed int64, cases, sourcesPerCase int) {
 	}
 }
 
+// runSunk drives every source through one runtime whose engines come from
+// newEngine (joined by their filters before the first tuple) and returns,
+// per source, the transmission sequence the sink received, plus the
+// engines' results.
+func runSunk(t testing.TB, cfg Config, sources []eqSource, newEngine func(core.Options) (*core.Engine, error)) (map[string][]core.Transmission, map[string]*core.Result) {
+	t.Helper()
+	rt := New(cfg)
+	series := make(map[string]*tuple.Series, len(sources))
+	for _, s := range sources {
+		e, err := newEngine(s.opts)
+		if err != nil {
+			t.Fatalf("engine for %s: %v", s.name, err)
+		}
+		for _, f := range s.build(t) {
+			if err := e.AddFilter(f); err != nil {
+				t.Fatalf("joining %s: %v", s.name, err)
+			}
+		}
+		if err := rt.AddSource(s.name, e); err != nil {
+			t.Fatalf("adding %s: %v", s.name, err)
+		}
+		series[s.name] = s.sr
+	}
+	var mu sync.Mutex
+	sunk := make(map[string][]core.Transmission)
+	if err := rt.Start(context.Background(), func(batch []Out) {
+		// The batch is the worker's scratch: copy what is kept.
+		mu.Lock()
+		for _, o := range batch {
+			sunk[o.Source] = append(sunk[o.Source], o.Tr)
+		}
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.FeedAll(series); err != nil {
+		t.Fatalf("feed: %v", err)
+	}
+	return sunk, rt.Results()
+}
+
+// TestShardSinkEquivalenceCollectVsDrain is the equivalence property for
+// the two kinds of engine a runtime serves: over randomized (filter group,
+// trace) cases the sink receives, per source, the byte-identical
+// transmission sequence whether the engines retain their releases (what
+// core.Run, RunSharded and the embedded broker use) or are drained (the
+// TCP server) — and that sequence is the sequential core.Run's. A drained
+// engine's result keeps the counters and nothing else.
+func TestShardSinkEquivalenceCollectVsDrain(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260926))
+	for c := 0; c < 12; c++ {
+		cfg := Config{Shards: 1 + rng.Intn(4), QueueDepth: 1 + rng.Intn(32), FlushBatch: 1 + rng.Intn(8)}
+		sources := make([]eqSource, 3)
+		for i := range sources {
+			sr := randomTrace(t, rng)
+			sources[i] = eqSource{name: fmt.Sprintf("case%d-src%d", c, i), sr: sr, specs: randomSpecs(t, rng, sr), opts: randomOptions(rng)}
+		}
+		kept, keptRes := runSunk(t, cfg, sources, core.NewDynamicEngine)
+		drained, drainedRes := runSunk(t, cfg, sources, core.NewDrainedEngine)
+		for _, s := range sources {
+			want, err := core.Run(s.build(t), s.sr, s.opts)
+			if err != nil {
+				t.Fatalf("case %d %s: sequential run: %v", c, s.name, err)
+			}
+			ref := fingerprint(t, &core.Result{Transmissions: want.Transmissions})
+			for mode, sunk := range map[string][]core.Transmission{"collecting": kept[s.name], "draining": drained[s.name]} {
+				if !bytes.Equal(fingerprint(t, &core.Result{Transmissions: sunk}), ref) {
+					t.Errorf("case %d %s (alg=%v strat=%v cuts=%v): the %s runtime's sink saw %d transmissions that differ from the sequential run's %d",
+						c, s.name, s.opts.Algorithm, s.opts.Strategy, s.opts.Cuts, mode, len(sunk), len(want.Transmissions))
+				}
+			}
+			k, d := keptRes[s.name], drainedRes[s.name]
+			if len(k.Transmissions) != len(want.Transmissions) || len(k.Stats.Latencies) != len(want.Stats.Latencies) {
+				t.Errorf("case %d %s: collecting engine kept %d transmissions and %d latencies, want %d and %d",
+					c, s.name, len(k.Transmissions), len(k.Stats.Latencies), len(want.Transmissions), len(want.Stats.Latencies))
+			}
+			if len(d.Transmissions) != 0 || len(d.Stats.Latencies) != 0 {
+				t.Errorf("case %d %s: drained engine kept %d transmissions and %d latencies", c, s.name, len(d.Transmissions), len(d.Stats.Latencies))
+			}
+			if d.Stats.DistinctOutputs != want.Stats.DistinctOutputs || d.Stats.Transmissions != want.Stats.Transmissions ||
+				d.Stats.Deliveries != want.Stats.Deliveries || d.Stats.Inputs != want.Stats.Inputs {
+				t.Errorf("case %d %s: drained counters %+v differ from the sequential run's %+v", c, s.name, d.Stats, want.Stats)
+			}
+		}
+	}
+}
+
 // TestShardPaperExampleEquivalence pins the worked ten-tuple example: the
 // sharded runtime must reproduce Fig 2.8 exactly, like the sequential
 // engine does.

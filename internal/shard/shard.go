@@ -118,13 +118,11 @@ type Out struct {
 type Sink func(batch []Out)
 
 // source is the per-source runtime state, owned by one shard worker after
-// Start (sent/failErr/finished are only touched by that worker).
+// Start (failErr/finished are only touched by that worker).
 type source struct {
 	name   string
 	engine *core.Engine
 	shard  int
-	// sent indexes the engine transmissions already handed to the sink.
-	sent int
 	// failed latches the first engine error; later Feed/Offer/Control
 	// calls are rejected so callers learn the stream broke. failErr is
 	// written by the owning worker before the failed Store, so readers
@@ -830,11 +828,11 @@ func (w *worker) handle(tk task) {
 }
 
 // collect stages the engine's newly released transmissions for the next
-// flush.
+// flush. Whether the engine also keeps them is the engine's business (a
+// drained engine does not); the worker copies what it forwards.
 func (w *worker) collect(src *source) {
-	trs := src.engine.Result().Transmissions
-	for ; src.sent < len(trs); src.sent++ {
-		w.pending = append(w.pending, Out{Source: src.name, Tr: trs[src.sent]})
+	for _, tr := range src.engine.Released() {
+		w.pending = append(w.pending, Out{Source: src.name, Tr: tr})
 	}
 }
 
@@ -846,6 +844,9 @@ func (w *worker) flush() {
 	if w.rt.sink != nil {
 		w.rt.sink(w.pending)
 	}
+	// Flushed transmissions are the sink's now; the reused buffer must not
+	// keep their tuples reachable.
+	clear(w.pending)
 	w.pending = w.pending[:0]
 }
 
