@@ -3,8 +3,7 @@
 package server
 
 // raceEnabled reports that this test binary was built with the race
-// detector, which deliberately randomizes sync.Pool (Puts are dropped a
-// quarter of the time) to shake out lifecycle races — so pooled paths
-// allocate under -race even when they are allocation-free in a normal
-// build.
+// detector, which slows every path several-fold and still randomizes the
+// sync.Pools left in the process (shard task buffers, wire encode
+// buffers), so the end-to-end allocation and heap gates skip it.
 const raceEnabled = true

@@ -83,7 +83,7 @@ func newRelayMgr(s *Server) *relayMgr {
 
 // relayLeg is one upstream subscription: a connection to the
 // source-owning core carrying the group's filtered stream, fanned out
-// to every local member through the pooled refcounted frame path. The
+// to every local member through the recycled refcounted frame path. The
 // leg speaks the ordinary subscriber protocol (version 3 hello), so
 // the core sees exactly the membership a single-node deployment would.
 type relayLeg struct {
@@ -109,6 +109,8 @@ type relayLeg struct {
 	mu      sync.Mutex
 	members []*subscriber
 	scratch []*subscriber // fan-out copy, so sends run outside the lock
+	// batches is the run loop's take of empty batches, one per member.
+	batches []*frameBatch
 	conn    net.Conn
 	// coreName is the owner the current connection was dialed against;
 	// when a rebalance moves the source, resume state resets (offsets
@@ -317,7 +319,7 @@ const (
 // run is the leg's read loop: it decodes nothing it does not have to,
 // reconstructs each transmission frame byte-identically (same kind,
 // same payload — offsets included), and fans it out to every local
-// member through the refcounted frame pool. On a drain goodbye or a
+// member through the refcounted frame free list. On a drain goodbye or a
 // connection error it redials with backoff, resuming a durable
 // upstream from lastOffset+1 so members ride through core restarts and
 // partitions without a gap or a duplicate.
@@ -345,10 +347,18 @@ func (leg *relayLeg) run() {
 }
 
 // readStream consumes one upstream connection until it ends.
+// Transmission frames are fanned out in runs: the frames already whole
+// in the read buffer (the frameBuffered guard readSource uses, bounded
+// by the flush batch) go to each member as one batch, and a run never
+// waits for bytes that have not arrived. Any other frame, and the end of
+// the stream, first flushes the run, so members see the upstream order.
 func (leg *relayLeg) readStream(conn net.Conn) int {
 	br := bufio.NewReaderSize(conn, streamReadBuf)
+	runMax := leg.mgr.s.flushBatch()
 	var (
-		buf []byte
+		buf   []byte
+		run   = make([]*frame, 0, runMax)
+		stash frameStash
 		// Relay-latency sampling state: decoding every transmission just
 		// to read its timestamp would tax the relay hot path, so one in
 		// relaySampleEvery frames is decoded into reused scratch.
@@ -356,20 +366,26 @@ func (leg *relayLeg) readStream(conn net.Conn) int {
 		scratch tuple.Tuple
 		labels  [][]byte
 	)
+	defer stash.drop()
 	for {
 		kind, b, err := ReadFrameInto(br, buf)
 		if err != nil {
+			run = leg.fanout(run)
 			if !leg.closing.Load() {
 				leg.mgr.s.lg.Warn("upstream leg lost", "source", leg.key.source, "app", leg.key.app, "err", err)
 			}
 			return relayRedial
 		}
 		buf = b
+		if kind != FrameTransmission && kind != FrameTransmissionOff {
+			run = leg.fanout(run)
+		}
 		switch kind {
 		case FrameTransmission, FrameTransmissionOff:
 			payload := buf
 			if kind == FrameTransmissionOff {
 				if len(payload) < 8 {
+					leg.fanout(run)
 					return relayRedial
 				}
 				leg.lastOffset.Store(binary.LittleEndian.Uint64(payload))
@@ -378,15 +394,21 @@ func (leg *relayLeg) readStream(conn net.Conn) int {
 				payload = payload[8:]
 			}
 			leg.mgr.s.ctr.fedRelayFrames.Add(1)
-			var ts int64
+			fr := stash.get(runMax-len(run), frameHeaderLen+len(buf))
+			fr.buf = endFrame(append(beginFrame(fr.buf, kind), buf...))
+			fr.src = leg.mgr.lat
 			if leg.mgr.lat != nil && nframes%relaySampleEvery == 0 {
 				if l, _, err := wire.DecodeTransmissionInto(&scratch, leg.schema, labels[:0], payload); err == nil {
 					labels = l
-					ts = scratch.TS.UnixNano()
+					fr.ts = scratch.TS.UnixNano()
 				}
 			}
 			nframes++
-			leg.fanout(kind, buf, ts)
+			run = append(run, fr)
+			if len(run) < runMax && frameBuffered(br) {
+				continue // the next frame is already here: extend the run
+			}
+			run = leg.fanout(run)
 		case FrameQoS:
 			// The core degraded (or restored) the group's effective
 			// quality; forward the announcement to every member.
@@ -414,31 +436,40 @@ func (leg *relayLeg) readStream(conn net.Conn) int {
 // many relayed frames is decoded for its source timestamp.
 const relaySampleEvery = 8
 
-// fanout hands one reconstructed frame to every local member: encoded
-// once into a pooled refcounted frame, retained per member, one queue
-// hand-off each. The member list is copied under the lock so a slow
-// member blocking under PolicyBlock never holds up a concurrent
-// detach.
-func (leg *relayLeg) fanout(kind byte, payload []byte, ts int64) {
+// fanout hands a run of reconstructed frames to every local member with
+// the core sink's discipline: each frame was encoded once into a
+// recycled refcounted frame, is retained per member, and each member
+// gets the whole run in one queue hand-off. The member list is copied
+// once per run, under the lock, so a slow member blocking under
+// PolicyBlock never holds up a concurrent detach. It returns run emptied.
+func (leg *relayLeg) fanout(run []*frame) []*frame {
+	if len(run) == 0 {
+		return run
+	}
 	leg.mu.Lock()
 	members := append(leg.scratch[:0], leg.members...)
 	leg.scratch = members
 	leg.mu.Unlock()
 	if len(members) == 0 {
-		return
+		for _, fr := range run {
+			fr.retain(1)
+		}
+		releaseFrames(run)
+		return run[:0]
 	}
-	fr := getFrame()
-	b := beginFrame(fr.buf, kind)
-	b = append(b, payload...)
-	fr.buf = endFrame(b)
-	fr.ts = ts
-	fr.src = leg.mgr.lat
-	fr.retain(len(members))
-	for _, sub := range members {
-		batch := getBatch()
-		batch.frames = append(batch.frames, fr)
-		leg.mgr.s.sendBatch(sub.m, batch)
+	for _, fr := range run {
+		fr.retain(len(members))
 	}
+	s := leg.mgr.s
+	leg.batches = takeBatches(leg.batches[:0], len(members), s.flushBatch())
+	for i, sub := range members {
+		b := leg.batches[i]
+		leg.batches[i] = nil
+		b.frames = append(b.frames, run...)
+		s.sendBatch(sub.m, b)
+	}
+	clear(run)
+	return run[:0]
 }
 
 // forwardQoS mirrors an upstream QoS announcement to every member.
@@ -618,6 +649,9 @@ func (s *Server) serveEdgeSubscriber(sub *subscriber, h SubHello, spec quality.S
 	}
 	if err := WriteFrame(conn, FrameHelloOK, sub.leg.schemaPayload); err != nil {
 		s.removeSubscriber(sub)
+		// No writer will run: what the fan-out queued since the join
+		// goes back to the free list here.
+		drainQueued(sub.m)
 		conn.Close()
 		return
 	}

@@ -1,7 +1,13 @@
 package server
 
 import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"gasf/internal/federate"
 )
 
 // TestSubHelloRelayVersion pins the version-3 relay handshake: the relay
@@ -71,5 +77,128 @@ func TestSubHelloRelayVersion(t *testing.T) {
 	}
 	if _, err := DecodeSubHello(good[:len(good)-2]); err == nil {
 		t.Fatal("truncated relay edge name accepted")
+	}
+}
+
+// ledger is a snapshot of the frame free-list ledger.
+type ledger struct{ frameGets, framePuts, batchGets, batchPuts uint64 }
+
+func readLedger() ledger {
+	return ledger{
+		frameStats.frameGets.Load(), frameStats.framePuts.Load(),
+		frameStats.batchGets.Load(), frameStats.batchPuts.Load(),
+	}
+}
+
+// TestFramePoolBalancedAcrossFederatedTeardown extends the frame-leak
+// detector to a federation — one core, two edges, each edge relaying one
+// upstream leg to two members — torn down mid-stream (edges and core
+// shut down while the publisher is still sending, in mixed order) and
+// after the source finished. Every frame and batch any of the three
+// nodes checked out must be back in the free lists: the relay fan-out,
+// the members' writers and every teardown path included.
+func TestFramePoolBalancedAcrossFederatedTeardown(t *testing.T) {
+	frameStats.enabled.Store(true)
+	t.Cleanup(func() { frameStats.enabled.Store(false) })
+	for _, midStream := range []bool{true, false} {
+		name := "after-finish"
+		if midStream {
+			name = "mid-stream"
+		}
+		t.Run(name, func(t *testing.T) {
+			base := readLedger()
+			quiet := func(string, ...any) {}
+			core, err := Start(Config{Logf: quiet, SubscriberQueue: 4, Federation: FederationConfig{Role: federate.RoleCore, Self: "c0"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cores := []federate.Node{{Name: "c0", Addr: core.Addr().String()}}
+			if err := core.UpdatePeers(cores); err != nil {
+				t.Fatal(err)
+			}
+			var edges [2]*Server
+			for i := range edges {
+				if edges[i], err = Start(Config{Logf: quiet, SubscriberQueue: 4, Federation: FederationConfig{Role: federate.RoleEdge, Self: fmt.Sprintf("e%d", i), Peers: cores}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const tuples = 20000
+			sr := stepSeries(t, tuples, 0)
+			pub, err := DialPublisher(core.Addr().String(), "s1", sr.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				subs     sync.WaitGroup
+				received atomic.Uint64
+			)
+			for i, edge := range edges {
+				for m := 0; m < 2; m++ {
+					// One group per edge: an app name is unique per source
+					// at the core, whichever edge relays it.
+					sub, err := DialSubscriber(edge.Addr().String(), fmt.Sprintf("g%d", i), "s1", "DC1(v, 0.5, 0)")
+					if err != nil {
+						t.Fatal(err)
+					}
+					subs.Add(1)
+					go func() {
+						defer subs.Done()
+						defer sub.Close()
+						var d Delivery
+						for sub.RecvIntoContext(context.Background(), &d) == nil {
+							received.Add(1)
+						}
+					}()
+				}
+			}
+			published := make(chan struct{})
+			go func() {
+				defer close(published)
+				for off := 0; off < tuples; off += 64 {
+					if pub.PublishBatchContext(context.Background(), sr.Tuples()[off:min(off+64, tuples)]) != nil {
+						return // the core went down under the publisher
+					}
+				}
+				pub.Close()
+			}()
+			shutdown := func(s *Server) {
+				ctx, cancel := ctxTimeout()
+				defer cancel()
+				if err := s.Shutdown(ctx); err != nil {
+					t.Errorf("shutdown: %v", err)
+				}
+			}
+			if midStream {
+				waitFor(t, "relayed deliveries", func() bool { return received.Load() > 2000 })
+				shutdown(edges[0])
+				shutdown(core)
+				shutdown(edges[1])
+				<-published
+				pub.Close()
+			} else {
+				<-published
+				subs.Wait()
+				if got := received.Load(); got != 4*tuples {
+					t.Errorf("members received %d deliveries, want %d", got, 4*tuples)
+				}
+				shutdown(core)
+				shutdown(edges[0])
+				shutdown(edges[1])
+			}
+			subs.Wait()
+
+			got := readLedger()
+			fg, fp := got.frameGets-base.frameGets, got.framePuts-base.framePuts
+			bg, bp := got.batchGets-base.batchGets, got.batchPuts-base.batchPuts
+			if fg != fp {
+				t.Errorf("frame leak: %d gets, %d puts (%d stranded)", fg, fp, int64(fg)-int64(fp))
+			}
+			if bg != bp {
+				t.Errorf("batch leak: %d gets, %d puts (%d stranded)", bg, bp, int64(bg)-int64(bp))
+			}
+			if fg == 0 || bg == 0 {
+				t.Errorf("ledger recorded no traffic (frames %d, batches %d)", fg, bg)
+			}
+		})
 	}
 }

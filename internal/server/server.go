@@ -197,6 +197,10 @@ type sourceSession struct {
 	// expired marks that the gap detector closed the connection, so the
 	// reader attributes its exit correctly.
 	expired atomic.Bool
+	// frameSize is the size of the last output frame the sink encoded for
+	// this source, the starting buffer of a frame fresh from the
+	// allocator. Written by the source's shard worker only.
+	frameSize int
 }
 
 var sourceSessionPool = sync.Pool{New: func() any { return new(sourceSession) }}
@@ -565,6 +569,36 @@ func (sl *tupleSlab) next() *tuple.Tuple {
 	return t
 }
 
+// flushBatch is the runtime's release batch size, which also bounds an
+// ingest run, a relay run and the capacity a fresh frame batch is born
+// with.
+func (s *Server) flushBatch() int {
+	if n := s.cfg.Engine.FlushBatch; n > 0 {
+		return n
+	}
+	return shard.DefaultFlushBatch
+}
+
+// frameBuffered reports whether a whole frame — header and payload — is
+// already sitting in br's buffer: the run guard of the ingest and relay
+// read loops. A buffered header alone is not enough: continuing to
+// accumulate would park staged work behind a blocking read for a
+// payload that may lag arbitrarily. The Buffered() guard must come
+// first — bufio's Peek otherwise BLOCKS reading the connection for the
+// missing header bytes, which would hold the staged run across an idle
+// gap and cost a full pacing interval of delivery latency.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < frameHeaderLen {
+		return false
+	}
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		return false
+	}
+	n := binary.LittleEndian.Uint32(hdr[1:])
+	return uint32(br.Buffered()-frameHeaderLen) >= n
+}
+
 // readSource is the publisher read loop. Reads are buffered, the payload
 // buffer is recycled across frames and tuples are decoded into slabs
 // (ingestSlab), so steady-state ingest allocates per slab, not per frame.
@@ -579,31 +613,9 @@ func (s *Server) readSource(src *sourceSession) {
 	br := bufio.NewReaderSize(src.conn, idleReadBuf)
 	upgraded := false
 	var payloadBuf []byte
-	flushN := s.cfg.Engine.FlushBatch
-	if flushN <= 0 {
-		flushN = shard.DefaultFlushBatch
-	}
+	flushN := s.flushBatch()
 	batch := make([]*tuple.Tuple, 0, flushN)
 	slab := tupleSlab{width: src.Schema.Len()}
-	// frameBuffered reports whether a whole frame — header and payload —
-	// is already sitting in the read buffer. A buffered header alone is
-	// not enough: continuing to accumulate would park staged tuples
-	// behind a blocking read for a payload that may lag arbitrarily. The
-	// Buffered() guard must come first — bufio's Peek otherwise BLOCKS
-	// reading the connection for the missing header bytes, which would
-	// hold the staged batch across an idle gap and cost a full pacing
-	// interval of delivery latency.
-	frameBuffered := func() bool {
-		if br.Buffered() < frameHeaderLen {
-			return false
-		}
-		hdr, err := br.Peek(frameHeaderLen)
-		if err != nil {
-			return false
-		}
-		n := binary.LittleEndian.Uint32(hdr[1:])
-		return uint32(br.Buffered()-frameHeaderLen) >= n
-	}
 	submit := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -678,7 +690,7 @@ func (s *Server) readSource(src *sourceSession) {
 			}
 			lastTS = t.TS
 			batch = append(batch, t)
-			if len(batch) < flushN && frameBuffered() {
+			if len(batch) < flushN && frameBuffered(br) {
 				// Another whole frame is already buffered: keep
 				// accumulating.
 				continue
@@ -831,6 +843,9 @@ func (s *Server) serveSubscriber(conn net.Conn, hello []byte) {
 	}
 	if err != nil {
 		s.removeSubscriber(sub)
+		// No writer will run: what the fan-out queued since the join
+		// goes back to the free list here.
+		drainQueued(sub.m)
 		conn.Close()
 		return
 	}
@@ -857,36 +872,45 @@ func (s *Server) removeSubscriber(sub *subscriber) {
 	s.lg.Info("subscriber left", "app", sub.m.App, "source", sub.m.Source, "dropped", sub.m.Dropped())
 }
 
-// sinkScratch is the per-sink-call staging state (the subscribers
-// touched this cycle), pooled so concurrent shard workers each grab
-// their own and the fan-out cycle stays allocation-free.
+// sinkScratch is the per-sink-call staging state: the subscribers
+// touched this cycle and the frames and batches taken off the free lists
+// for it. Scratches are recycled through a free list of their own, so
+// concurrent shard workers each take one and the fan-out cycle stays
+// allocation-free.
 type sinkScratch struct {
 	touched []*session.Member[*frameBatch]
+	frames  frameStash
+	batches []*frameBatch
 }
 
-var sinkScratchPool = sync.Pool{New: func() any { return new(sinkScratch) }}
+var freeScratch = freeList[*sinkScratch]{max: maxFreeScratch}
 
 // sink receives batched released transmissions from the shard workers and
 // fans each out to the connected subscribers named in its destination
 // list. Per-source calls are serialized by the owning worker, so each
 // subscriber's stream arrives in release order.
 //
-// The fan-out path encodes each transmission exactly once into a pooled,
-// refcounted frame shared by every target queue, labels it with the live
-// targets only (departed subscribers stop consuming egress bytes; the
-// core's Route caches targets, labels and the encoded label prefix while
-// the membership epoch and destination list repeat). Frames are staged
-// per subscriber across the whole flush and handed over as one batch per
-// subscriber — one queue operation per release cycle, not one per frame.
-// Staging is safe without locks because a subscriber belongs to exactly
-// one source and one worker owns all of a source's flushes.
+// The fan-out path encodes each transmission exactly once into a
+// recycled, refcounted frame shared by every target queue, labels it
+// with the live targets only (departed subscribers stop consuming egress
+// bytes; the core's Route caches targets, labels and the encoded label
+// prefix while the membership epoch and destination list repeat). Frames
+// are staged per subscriber across the whole flush and handed over as
+// one batch per subscriber — one queue operation per release cycle, not
+// one per frame. The cycle's frames and batches come off the free lists
+// in runs, one lock each. Staging is safe without locks because a
+// subscriber belongs to exactly one source and one worker owns all of a
+// source's flushes.
 func (s *Server) sink(batch []shard.Out) {
 	var fanStart time.Time
 	if s.tel.Sample(telemetry.StageFanout) {
 		fanStart = time.Now()
 	}
 	durable := s.core.Log() != nil
-	sc := sinkScratchPool.Get().(*sinkScratch)
+	sc, ok := freeScratch.pop()
+	if !ok {
+		sc = new(sinkScratch)
+	}
 	for i := range batch {
 		o := &batch[i]
 		s.ctr.transmissionsOut.Add(1)
@@ -894,7 +918,8 @@ func (s *Server) sink(batch []shard.Out) {
 		if src == nil || len(src.Targets) == 0 {
 			continue // the source is gone, or every addressee already left
 		}
-		fr := getFrame()
+		owner := src.Owner.(*sourceSession)
+		fr := sc.frames.get(len(batch)-i, owner.frameSize)
 		kind := FrameTransmission
 		if durable {
 			kind = FrameTransmissionOff
@@ -914,6 +939,7 @@ func (s *Server) sink(batch []shard.Out) {
 			continue
 		}
 		fr.buf = endFrame(buf)
+		owner.frameSize = len(fr.buf)
 		if durable {
 			// The durable record is the exact transmission fanned out to
 			// the live targets, appended before any queue sees the frame.
@@ -929,9 +955,15 @@ func (s *Server) sink(batch []shard.Out) {
 		fr.ts = o.Tr.Tuple.TS.UnixNano()
 		fr.src = src.Lat
 		fr.retain(len(src.Targets))
-		for _, m := range src.Targets {
+		for j, m := range src.Targets {
 			if m.Stage == nil {
-				m.Stage = getBatch()
+				if len(sc.batches) == 0 {
+					// Enough for every target still unstaged, in one take.
+					sc.batches = takeBatches(sc.batches, len(src.Targets)-j, s.flushBatch())
+				}
+				m.Stage = sc.batches[len(sc.batches)-1]
+				sc.batches[len(sc.batches)-1] = nil
+				sc.batches = sc.batches[:len(sc.batches)-1]
 				sc.touched = append(sc.touched, m)
 			}
 			m.Stage.frames = append(m.Stage.frames, fr)
@@ -947,7 +979,10 @@ func (s *Server) sink(batch []shard.Out) {
 		s.sendBatch(m, b)
 	}
 	sc.touched = sc.touched[:0]
-	sinkScratchPool.Put(sc)
+	sc.frames.drop()
+	putBatches(sc.batches)
+	sc.batches = sc.batches[:0]
+	freeScratch.push(sc)
 	if !fanStart.IsZero() {
 		s.tel.Observe(telemetry.StageFanout, time.Since(fanStart))
 	}

@@ -78,7 +78,7 @@ func (sub *subscriber) QoSApplied(scale float64) {
 // released here when the member did not take them. A successful hand-off
 // re-checks the departure latch: the writer's exit sweep (drainQueued)
 // and this send can interleave so the batch lands after the sweep ran,
-// which would strand its frame references outside the pool forever. If
+// which would strand its frame references outside the free list forever. If
 // the member turns out departed, this sender sweeps the queue itself —
 // channel receives are exactly-once, so however many racing senders
 // sweep, every stranded batch is released exactly once.
@@ -101,7 +101,7 @@ const evictPrefix = "evicted: "
 
 // drainQueued releases batches left in the queue when the writer exits
 // without delivering them (departure or write error), so an abandoning
-// exit does not strand refcounted frames outside the pool.
+// exit does not strand refcounted frames outside the free list.
 func drainQueued(m *session.Member[*frameBatch]) {
 	for {
 		select {
@@ -114,35 +114,39 @@ func drainQueued(m *session.Member[*frameBatch]) {
 }
 
 // egress is the writer's staging area for one vectored write: the iovec
-// list handed to net.Buffers and the frames behind it, released once the
-// kernel has the bytes.
+// list handed to net.Buffers, the frames behind it and the batches they
+// came in, all returned to the free lists once the kernel has the bytes.
 type egress struct {
 	bufs   net.Buffers
 	frames []*frame
+	spent  []*frameBatch
 	bytes  int
 	// wr is the copy of bufs one write consumes; a field because WriteTo
 	// takes its address, which would move a local to the heap every flush.
 	wr net.Buffers
 }
 
-// stage appends a queued batch's frames to the pending vectored write
-// and recycles the batch slice (the frames are now referenced by the
-// egress staging until released).
+// stage appends a queued batch's frames to the pending vectored write;
+// the emptied batch waits in spent for the flush to recycle it (the
+// frames are now referenced by the egress staging until released).
 func (e *egress) stage(b *frameBatch) {
 	for _, fr := range b.frames {
 		e.bufs = append(e.bufs, fr.buf)
 		e.frames = append(e.frames, fr)
 		e.bytes += len(fr.buf)
 	}
-	putBatch(b)
+	e.spent = append(e.spent, b)
 }
 
 // flush ships the staged frames with one vectored write (net.Buffers
 // issues writev on TCP, chunking the iovec list as needed) and releases
 // every staged reference — the bytes are with the kernel or lost to the
-// error either way.
+// error either way. The write's frames go back under one lock, its
+// batches under another.
 func (e *egress) flush(sub *subscriber) error {
 	if len(e.frames) == 0 {
+		putBatches(e.spent)
+		e.spent = e.spent[:0]
 		return nil
 	}
 	tel := sub.s.tel
@@ -176,12 +180,11 @@ func (e *egress) flush(sub *subscriber) error {
 			tel.ObserveDelivery(d)
 		}
 	}
-	for _, fr := range e.frames {
-		fr.release()
-	}
-	clear(e.frames)
+	releaseFrames(e.frames)
+	putBatches(e.spent)
 	clear(e.bufs)
 	e.frames = e.frames[:0]
+	e.spent = e.spent[:0]
 	e.bufs = e.bufs[:0]
 	e.bytes = 0
 	return err

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 )
 
@@ -20,14 +19,17 @@ import (
 //   - Parking is edge-triggered, channel-doorbell style: the consumer
 //     parks only on an empty ring (bell channel, rung by the producer
 //     that makes the ring non-empty), and producers park only on a full
-//     ring (a generation gate closed by the consumer when it frees
-//     slots). Steady-state flow crosses the ring without any channel or
-//     mutex operations.
+//     ring (space channel, rung by the consumer when it frees slots and
+//     passed on from woken producer to parked producer while space
+//     lasts). Both bells have capacity 1 and are made once, so parking
+//     allocates nothing; steady-state flow crosses the ring without any
+//     channel or mutex operations.
 //
 // Memory-ordering note: the park paths use the store-then-recheck
 // pattern on both sides (consumer stores `sleeping` then rechecks for
-// published input; producers store `prodParked` then recheck for free
-// slots; the waking side does the mirror-image store then flag load).
+// published input; producers count themselves into `prodParked` then
+// recheck for free slots; the waking side does the mirror-image store
+// then flag load).
 // Go's sync/atomic operations are sequentially consistent, so one of the
 // two racing parties always observes the other — a parked party with
 // work (or space) available is impossible.
@@ -51,12 +53,13 @@ type ring struct {
 	sleeping atomic.Bool
 	bell     chan struct{}
 
-	// Producer parking: prodParked is any producer's declared intent to
-	// park on a full ring; the consumer broadcasts by closing the current
-	// gate generation and installing a fresh one.
-	gateMu     sync.Mutex
-	gate       chan struct{}
-	prodParked atomic.Bool
+	// Producer parking: prodParked counts the producers that declared
+	// intent to park on a full ring; space (capacity 1) is rung by the
+	// consumer after freeing slots while the count is nonzero, and each
+	// woken producer rings it again for the next while parked producers
+	// and free slots both remain — a chain instead of a broadcast.
+	space      chan struct{}
+	prodParked atomic.Int32
 
 	// closed marks the end of input (set after the runtime seals, so no
 	// producer can be mid-push); closedCh unparks the consumer for its
@@ -84,7 +87,7 @@ func newRing(capacity int) *ring {
 		mask:     uint64(c - 1),
 		cells:    make([]ringCell, c),
 		bell:     make(chan struct{}, 1),
-		gate:     make(chan struct{}),
+		space:    make(chan struct{}, 1),
 		closedCh: make(chan struct{}),
 	}
 }
@@ -155,41 +158,52 @@ func (q *ring) popRun(buf []task) int {
 	}
 	if n > 0 {
 		q.head.Store(h + uint64(n))
-		if q.prodParked.Load() {
-			q.openGate()
+		if q.prodParked.Load() > 0 {
+			q.ringSpace()
 		}
 	}
 	return n
 }
 
-// openGate broadcasts "slots freed" to every parked producer by closing
-// the current gate generation.
-func (q *ring) openGate() {
-	q.gateMu.Lock()
-	q.prodParked.Store(false)
-	close(q.gate)
-	q.gate = make(chan struct{})
-	q.gateMu.Unlock()
+// ringSpace wakes one parked producer; a rung bell already holds a wake.
+func (q *ring) ringSpace() {
+	select {
+	case q.space <- struct{}{}:
+	default:
+	}
 }
 
+// hasSpace reports whether a push would find a free slot.
+func (q *ring) hasSpace() bool { return q.tail.Load()-q.head.Load() < q.capacity() }
+
 // waitSpace parks the calling producer until the consumer frees slots or
-// ctx is cancelled. It may return without space (spurious wake or stale
-// gate); callers loop around tryPush.
+// ctx is cancelled. It may return without space (spurious wake, or a wake
+// meant for a producer that gave up); callers loop around tryPush.
+//
+// No wake-up is lost: a producer counts itself parked and then rechecks
+// for space, while the consumer moves the head and then reads the count,
+// so either the producer sees the freed slots or the consumer sees the
+// producer and rings. One ring wakes one producer; before pushing, the
+// woken producer rings again if others are still parked and slots are
+// still free, so every producer the freed slots can serve is woken in
+// turn, and the ones they cannot serve are rung by the next pop.
 func (q *ring) waitSpace(ctx context.Context) error {
-	q.gateMu.Lock()
-	gate := q.gate
-	q.gateMu.Unlock()
-	q.prodParked.Store(true)
-	if q.tail.Load()-q.head.Load() < q.capacity() {
-		// Space appeared between the failed push and the park; the
-		// store-then-recheck order makes a missed wakeup impossible.
+	q.prodParked.Add(1)
+	if q.hasSpace() {
+		// Space appeared between the failed push and the park.
+		q.prodParked.Add(-1)
 		return nil
 	}
 	q.producerParks.Add(1)
 	select {
-	case <-gate:
+	case <-q.space:
+		if q.prodParked.Add(-1) > 0 && q.hasSpace() {
+			q.ringSpace()
+		}
 		return nil
 	case <-ctx.Done():
+		// A wake meant for this producer stays in the bell for the next.
+		q.prodParked.Add(-1)
 		return ctx.Err()
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -147,6 +148,124 @@ func TestRingCapacityOne(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestRingParkedProducersAllResume parks many producers on a full ring
+// and checks every one of them resumes as the consumer drains it a few
+// slots at a time: one space bell wakes one producer, and the chain of
+// wake-ups (or the next pop) must reach all the rest — a lost wake-up
+// leaves a producer parked on a ring with free slots and the round
+// times out.
+func TestRingParkedProducersAllResume(t *testing.T) {
+	const (
+		capacity  = 4
+		producers = 8
+		perProd   = 3
+	)
+	ctx := context.Background()
+	for round := 0; round < 50; round++ {
+		q := newRing(capacity)
+		src := &source{name: "s"}
+		for i := 0; i < capacity; i++ {
+			if q.tryPush([]task{ringTask(src, -1)}) != 1 {
+				t.Fatal("could not fill the ring")
+			}
+		}
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; i < perProd; {
+					if q.tryPush([]task{ringTask(src, p)}) == 1 {
+						i++
+						continue
+					}
+					if err := q.waitSpace(ctx); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(p)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for q.prodParked.Load() < producers {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: only %d of %d producers parked", round, q.prodParked.Load(), producers)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			buf := make([]task, 1+round%3) // free one to three slots per pop
+			for popped := 0; popped < capacity+producers*perProd; {
+				n := q.popRun(buf)
+				if n == 0 {
+					q.park(ctx)
+					continue
+				}
+				popped += n
+			}
+		}()
+		allDone := make(chan struct{})
+		go func() { wg.Wait(); close(allDone) }()
+		for _, ch := range []chan struct{}{allDone, drained} {
+			select {
+			case <-ch:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: %d producers still parked on a draining ring (lost wake-up)", round, q.prodParked.Load())
+			}
+		}
+	}
+}
+
+// TestRingParkCycleZeroAllocs gates the producer gate: a producer that
+// parks on a full ring and is rung awake by the consumer allocates
+// nothing (the generation gate it replaced made a channel per wake).
+func TestRingParkCycleZeroAllocs(t *testing.T) {
+	q := newRing(1)
+	one := []task{ringTask(&source{name: "s"}, 0)}
+	ctx := context.Background()
+	stop := make(chan struct{})
+	consumerDone := make(chan struct{})
+	// The consumer pops only once the producer has parked, so every
+	// cycle goes through the whole park, ring and wake path.
+	go func() {
+		defer close(consumerDone)
+		buf := make([]task, 1)
+		for seen := uint64(0); ; seen++ {
+			for q.producerParks.Load() == seen {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				runtime.Gosched()
+			}
+			q.popRun(buf)
+		}
+	}()
+	cycle := func() {
+		for q.tryPush(one) == 0 {
+			if err := q.waitSpace(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle() // fills the ring; every later cycle parks once
+	before := q.producerParks.Load()
+	const runs = 1000
+	avg := testing.AllocsPerRun(runs, cycle)
+	parks := q.producerParks.Load() - before
+	close(stop)
+	<-consumerDone
+	if parks < runs {
+		t.Fatalf("only %d parks in %d cycles: the gate was not exercised", parks, runs)
+	}
+	if avg != 0 {
+		t.Fatalf("a park/unpark cycle allocates %.3f objects, want 0", avg)
+	}
 }
 
 // TestRingCloseStress races close against a parked consumer and checks
