@@ -62,9 +62,11 @@ var ErrEvicted = errors.New("broker: subscriber evicted")
 type Delivery struct {
 	Tuple *tuple.Tuple
 	// Destinations is read-only and may be shared: on the embedded
-	// transport every delivery of one membership and destination pattern
-	// aliases one slice; on the networked one RecvInto rewrites the
-	// caller's slice with the session's interned label strings.
+	// transport it aliases the engine's canonical destination list when
+	// every addressee was live at release, and otherwise one pruned slice
+	// per membership and destination pattern; on the networked one
+	// RecvInto rewrites the caller's slice with the session's interned
+	// label strings.
 	Destinations []string
 	ReceivedAt   time.Time
 	// Offset is the delivery's position in the source's durable log when

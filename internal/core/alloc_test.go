@@ -62,9 +62,10 @@ func group12(tb testing.TB, n int, seed int64) (*tuple.Series, func() []filter.F
 // pending sets and multi-owner picks the DC1 trace never produces. What
 // a run may allocate is the growth of its result's slices, one destination
 // list per owner set it has not used before, and scratch growing to its
-// working size (measured: 0.14 per Step on DC1x3, 0.6 on mixed12); a
-// change that reintroduces per-step or per-transmission map, list, set or
-// scratch churn trips this long before it shows in wall-clock benchmarks.
+// working size (measured: 0.13-0.15 per Step on DC1x3, 0.49-0.52 on
+// mixed12); a change that reintroduces per-step or per-transmission map,
+// list, set or scratch churn trips this long before it shows in
+// wall-clock benchmarks.
 func TestStepAllocsBounded(t *testing.T) {
 	dc1, err := trace.NAMOS(trace.Config{N: 2000, Seed: 5})
 	if err != nil {
@@ -94,7 +95,7 @@ func TestStepAllocsBounded(t *testing.T) {
 		budget float64 // allocations per Step
 	}{
 		{"DC1x3", dc1, buildDC1, 0.3},
-		{"mixed12", mixed, buildMixed, 1},
+		{"mixed12", mixed, buildMixed, 0.6},
 	} {
 		for _, alg := range []Algorithm{RG, PS} {
 			avg := testing.AllocsPerRun(3, func() {
@@ -112,6 +113,7 @@ func TestStepAllocsBounded(t *testing.T) {
 				}
 			})
 			perStep := avg / float64(c.sr.Len())
+			t.Logf("%s %v: %.3f allocs per Step", c.name, alg, perStep)
 			if perStep > c.budget {
 				t.Errorf("%s %v: %.2f allocs per Step, budget %.1f", c.name, alg, perStep, c.budget)
 			}

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
 	"time"
 
 	"gasf/internal/core"
@@ -33,8 +36,17 @@ func Table52Specs(cfg Config) (*Report, error) {
 		Values: map[string]float64{"groups": float64(len(groups))}}, nil
 }
 
-// runTable52 executes GA (RG) and SI for every Table 5.2 group.
-func runTable52(cfg Config) ([]quality.Group, []*core.Result, []*core.Result, error) {
+// cpuRuns is how often the CPU figures run each variant of a group. A
+// quick-sized run takes about a millisecond, so one collection or one
+// preemption can double it; the reported run is the median by CPU.
+const cpuRuns = 9
+
+// runTable52 executes GA (RG) and SI for every Table 5.2 group, each
+// variant runs times. The outputs of a variant are the same in every run;
+// the returned run is the median by CPU. Every run starts from a
+// collected heap, so that none pays for another's garbage, and GA and SI
+// runs alternate, so that a slow stretch of the machine falls on both.
+func runTable52(cfg Config, runs int) ([]quality.Group, []*core.Result, []*core.Result, error) {
 	sr, err := namosTrace(cfg)
 	if err != nil {
 		return nil, nil, nil, err
@@ -43,17 +55,27 @@ func runTable52(cfg Config) ([]quality.Group, []*core.Result, []*core.Result, er
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	variants := []variant{
+		{name: "RG", opts: core.Options{Algorithm: core.RG, MulticastDelay: cfg.MulticastDelay}},
+		{name: "SI", si: true, opts: core.Options{MulticastDelay: cfg.MulticastDelay}},
+	}
 	var gas, sis []*core.Result
 	for _, g := range groups {
-		ga, err := runVariant(g, sr, variant{name: "RG", opts: core.Options{Algorithm: core.RG, MulticastDelay: cfg.MulticastDelay}})
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%s: %w", g.Name, err)
+		res := make([][]*core.Result, len(variants))
+		for range runs {
+			for i, v := range variants {
+				runtime.GC()
+				r, err := runVariant(g, sr, v)
+				if err != nil {
+					return nil, nil, nil, fmt.Errorf("%s: %w", g.Name, err)
+				}
+				res[i] = append(res[i], r)
+			}
 		}
-		si, err := runVariant(g, sr, variant{name: "SI", si: true, opts: core.Options{MulticastDelay: cfg.MulticastDelay}})
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%s: %w", g.Name, err)
+		for _, rs := range res {
+			slices.SortFunc(rs, func(a, b *core.Result) int { return cmp.Compare(a.Stats.CPU, b.Stats.CPU) })
 		}
-		gas, sis = append(gas, ga), append(sis, si)
+		gas, sis = append(gas, res[0][runs/2]), append(sis, res[1][runs/2])
 	}
 	return groups, gas, sis, nil
 }
@@ -63,7 +85,7 @@ func runTable52(cfg Config) ([]quality.Group, []*core.Result, []*core.Result, er
 // ten groups fall below 0.80; sampling-only groups benefit least.
 func Fig52OutputRatio(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	groups, gas, sis, err := runTable52(cfg)
+	groups, gas, sis, err := runTable52(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +104,7 @@ func Fig52OutputRatio(cfg Config) (*Report, error) {
 // tuples, group-aware versus self-interested.
 func Table53CPUBatch(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	groups, gas, sis, err := runTable52(cfg)
+	groups, gas, sis, err := runTable52(cfg, cpuRuns)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +130,7 @@ func Table53CPUBatch(cfg Config) (*Report, error) {
 // and ~3x.
 func Fig53OverheadRatio(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	groups, gas, sis, err := runTable52(cfg)
+	groups, gas, sis, err := runTable52(cfg, cpuRuns)
 	if err != nil {
 		return nil, err
 	}

@@ -95,14 +95,15 @@ type CandidateSet struct {
 	home *setPool
 }
 
-// maxFreeSets bounds a filter's free list. A filter has one open set and
-// the engine a region's worth of closed ones, so a few dozen cover the
-// steady state; a burst beyond that goes back to the collector.
-const maxFreeSets = 64
-
 // setPool is one filter's free list of candidate sets. It is not shared:
 // the filter takes from it when a set opens and the engine that owns the
 // filter puts sets back, both under the engine's serialization.
+//
+// The list keeps every set that comes back. A set is built fresh only
+// when the list is empty, so the list never holds more sets than the
+// filter ever had out at once: its bound is the filter's high-water mark
+// (one open set plus the closed ones of its largest pending regions), not
+// a constant a large region would overflow.
 type setPool struct {
 	free []*CandidateSet
 }
@@ -124,7 +125,7 @@ func (p *setPool) take(n int) *CandidateSet {
 // is emptied, so recycled memory pins no tuple.
 func (cs *CandidateSet) Recycle() {
 	p := cs.home
-	if p == nil || len(p.free) >= maxFreeSets {
+	if p == nil {
 		return
 	}
 	clear(cs.Members)

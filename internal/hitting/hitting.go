@@ -18,8 +18,8 @@ package hitting
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"gasf/internal/filter"
 	"gasf/internal/tuple"
@@ -49,75 +49,6 @@ func (p Pick) Owners() []string {
 	return out
 }
 
-// entry tracks one distinct tuple across the region's candidate sets.
-type entry struct {
-	t      *tuple.Tuple
-	sets   []int // indices of sets in which the tuple is eligible
-	chosen bool
-}
-
-// problem is the normalized hitting-set instance.
-type problem struct {
-	sets    []*filter.CandidateSet
-	need    []int          // remaining picks per set
-	entries []*entry       // distinct eligible tuples
-	bySeq   map[int]*entry // seq -> entry
-	perSet  [][]*entry     // eligible entries per set
-}
-
-// build normalizes candidate sets into a problem instance, validating that
-// each set's quota is satisfiable.
-func build(sets []*filter.CandidateSet) (*problem, error) {
-	p := &problem{
-		sets:   sets,
-		need:   make([]int, len(sets)),
-		bySeq:  make(map[int]*entry),
-		perSet: make([][]*entry, len(sets)),
-	}
-	for i, cs := range sets {
-		if len(cs.Members) == 0 {
-			return nil, fmt.Errorf("hitting: set %s-%d is empty", cs.Owner, cs.Ordinal)
-		}
-		el := cs.Eligible()
-		k := cs.PickDegree
-		if k <= 0 {
-			k = 1
-		}
-		if k > len(el) {
-			k = len(el)
-		}
-		p.need[i] = k
-		for _, m := range el {
-			e, ok := p.bySeq[m.Seq]
-			if !ok {
-				e = &entry{t: m}
-				p.bySeq[m.Seq] = e
-				p.entries = append(p.entries, e)
-			}
-			e.sets = append(e.sets, i)
-			p.perSet[i] = append(p.perSet[i], e)
-		}
-	}
-	// Deterministic entry order: by sequence number.
-	sort.Slice(p.entries, func(a, b int) bool { return p.entries[a].t.Seq < p.entries[b].t.Seq })
-	return p, nil
-}
-
-// utility of an entry: the number of unsatisfied sets it is eligible in and
-// not yet chosen for.
-func (p *problem) utility(e *entry) int {
-	if e.chosen {
-		return 0
-	}
-	u := 0
-	for _, si := range e.sets {
-		if p.need[si] > 0 {
-			u++
-		}
-	}
-	return u
-}
-
 // Greedy solves the (multi-degree) hitting-set instance with the paper's
 // greedy heuristic: repeatedly pick the tuple with the highest group
 // utility, breaking ties by the latest timestamp to favor temporal
@@ -139,33 +70,47 @@ func GreedyWithOptions(sets []*filter.CandidateSet, preferEarliest bool) ([]Pick
 // caller deciding a stream of regions (the engine's hot path) allocates
 // nothing per decision beyond amortized growth. The zero value is ready to
 // use; a Solver is not safe for concurrent use.
+//
+// An instance is held as flat incidence lists (CSR: one array plus
+// offsets per direction). The distinct eligible tuples are the entries;
+// each (set, entry) pair is an incidence, listed set by set in inc and
+// incEnt and entry by entry in entSet. Greedy keeps every entry's
+// utility current instead of recomputing it per pick: a histogram of the
+// utilities gives the maximum, and a set whose quota is met lowers the
+// utility of each of its entries once.
 type Solver struct {
-	need    []int
-	entries []gentry
-	byseq   map[int]int
-	picks   []Pick
-}
-
-// gentry tracks one distinct tuple across a region's candidate sets; the
-// Solver recycles the per-entry set lists between solves.
-type gentry struct {
-	t      *tuple.Tuple
-	sets   []int
-	chosen bool
+	need   []int32        // remaining picks per set
+	inc    []*tuple.Tuple // eligible members, set i's at inc[setOff[i]:setOff[i+1]]
+	setOff []int32
+	incEnt []int32        // the entry of each incidence in inc
+	ents   []*tuple.Tuple // entry -> its tuple (the first seen with its seq)
+	entOff []int32        // entry j's sets are entSet[entOff[j]:entOff[j+1]]
+	entSet []int32
+	u      []int32 // current utility per entry; 0 once chosen
+	hist   []int32 // hist[k]: entries of utility k
+	ord    []int32 // entries by (TS, Seq): the tie-break order
+	idx    tuple.SeqIndex
+	picks  []Pick
+	// credits backs every pick's Sets, one run per pick.
+	credits []*filter.CandidateSet
 }
 
 // build normalizes the candidate sets into the solver's scratch state,
-// validating that each set's quota is satisfiable. Entries end up sorted
-// by sequence number for determinism.
+// validating that each set's quota is satisfiable.
 func (s *Solver) build(sets []*filter.CandidateSet) error {
-	if s.byseq == nil {
-		s.byseq = make(map[int]int)
-	} else {
-		clear(s.byseq)
+	// Size the scratch once for the instance, so that a fresh Solver
+	// allocates a fixed number of arrays however large its first
+	// instance is.
+	members := 0
+	for _, cs := range sets {
+		members += len(cs.Members)
 	}
-	s.need = s.need[:0]
-	s.entries = s.entries[:0]
-	for i, cs := range sets {
+	s.need, s.setOff = slices.Grow(s.need[:0], len(sets)), slices.Grow(s.setOff[:0], len(sets)+1)
+	s.inc, s.incEnt = slices.Grow(s.inc[:0], members), slices.Grow(s.incEnt[:0], members)
+	s.ents, s.ord = slices.Grow(s.ents[:0], members), slices.Grow(s.ord[:0], members)
+	s.setOff = append(s.setOff, 0)
+	lo, hi := math.MaxInt, math.MinInt
+	for _, cs := range sets {
 		if len(cs.Members) == 0 {
 			return fmt.Errorf("hitting: set %s-%d is empty", cs.Owner, cs.Ordinal)
 		}
@@ -177,45 +122,91 @@ func (s *Solver) build(sets []*filter.CandidateSet) error {
 		if k > len(el) {
 			k = len(el)
 		}
-		s.need = append(s.need, k)
+		s.need = append(s.need, int32(k))
 		for _, m := range el {
-			idx, ok := s.byseq[m.Seq]
-			if !ok {
-				idx = len(s.entries)
-				if idx < cap(s.entries) {
-					s.entries = s.entries[:idx+1]
-					e := &s.entries[idx]
-					e.t, e.sets, e.chosen = m, e.sets[:0], false
-				} else {
-					s.entries = append(s.entries, gentry{t: m})
-				}
-				s.byseq[m.Seq] = idx
+			lo, hi = min(lo, m.Seq), max(hi, m.Seq)
+			s.inc = append(s.inc, m)
+		}
+		s.setOff = append(s.setOff, int32(len(s.inc)))
+	}
+	if lo == hi {
+		// One distinct tuple, as in every region of a pass-all group: one
+		// entry in every set, nothing to index or order.
+		s.ents, s.ord, s.u = append(s.ents, s.inc[0]), append(s.ord, 0), append(s.u[:0], 0)
+		s.entOff = append(s.entOff[:0], 0, int32(len(s.inc)))
+		s.entSet = slices.Grow(s.entSet[:0], len(s.inc))
+		for i := range sets {
+			for range s.setOff[i+1] - s.setOff[i] {
+				s.incEnt = append(s.incEnt, 0)
+				s.entSet = append(s.entSet, int32(i))
 			}
-			s.entries[idx].sets = append(s.entries[idx].sets, i)
+		}
+		return nil
+	}
+	// Entries are numbered in first-seen order; the index maps a seq to
+	// its entry number plus one.
+	s.idx.Reset(lo, hi, len(s.inc))
+	for _, m := range s.inc {
+		j := s.idx.Get(m.Seq) - 1
+		if j < 0 {
+			j = int32(len(s.ents))
+			s.ents = append(s.ents, m)
+			s.idx.Set(m.Seq, j+1)
+		}
+		s.incEnt = append(s.incEnt, j)
+	}
+	// The entry -> sets lists, by counting: each entry's sets in set
+	// order, u serving as the fill cursor.
+	n := len(s.ents)
+	s.entOff = resize(s.entOff, n+1)
+	for _, j := range s.incEnt {
+		s.entOff[j+1]++
+	}
+	for j := range n {
+		s.entOff[j+1] += s.entOff[j]
+	}
+	s.entSet = resize(s.entSet, len(s.inc))
+	s.u = append(s.u[:0], s.entOff[:n]...)
+	for i := range sets {
+		for _, j := range s.incEnt[s.setOff[i]:s.setOff[i+1]] {
+			s.entSet[s.u[j]] = int32(i)
+			s.u[j]++
 		}
 	}
-	// Deterministic entry order: by sequence number (unique per region).
-	slices.SortFunc(s.entries, func(a, b gentry) int { return cmp.Compare(a.t.Seq, b.t.Seq) })
+	// The tie-break order. A dense index lists the entries by seq, which
+	// is (TS, Seq) order whenever timestamps rise with sequence numbers,
+	// as they do within a source; anything else is sorted.
+	s.ord = s.idx.AppendValues(s.ord)
+	for k := range s.ord {
+		s.ord[k]--
+	}
+	byFresh := func(a, b int32) int {
+		ta, tb := s.ents[a], s.ents[b]
+		return cmp.Or(ta.TS.Compare(tb.TS), cmp.Compare(ta.Seq, tb.Seq))
+	}
+	if !slices.IsSortedFunc(s.ord, byFresh) {
+		slices.SortFunc(s.ord, byFresh)
+	}
 	return nil
 }
 
-// utility of an entry: the number of unsatisfied sets it is eligible in
-// and not yet chosen for.
-func (s *Solver) utility(e *gentry) int {
-	if e.chosen {
-		return 0
+// resize returns buf with length n, zeroed, reusing its array when it can.
+func resize(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
 	}
-	u := 0
-	for _, si := range e.sets {
-		if s.need[si] > 0 {
-			u++
-		}
-	}
-	return u
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Greedy solves one instance. The returned picks (and their Sets lists)
 // are backed by solver scratch and stay valid only until the next call.
+//
+// Every pick takes the highest current utility; among entries at that
+// utility the freshest wins, the earliest with preferEarliest. Scanning
+// the (TS, Seq) order from the preferred end and stopping at the first
+// entry at the maximum makes exactly that choice.
 func (s *Solver) Greedy(sets []*filter.CandidateSet, preferEarliest bool) ([]Pick, error) {
 	if len(sets) == 0 {
 		return nil, nil
@@ -225,51 +216,77 @@ func (s *Solver) Greedy(sets []*filter.CandidateSet, preferEarliest bool) ([]Pic
 	}
 	remaining := 0
 	for _, n := range s.need {
-		remaining += n
+		remaining += int(n)
 	}
-	fresher := func(a, b *gentry) bool {
-		if preferEarliest {
-			return a.t.TS.Before(b.t.TS) || (a.t.TS.Equal(b.t.TS) && a.t.Seq < b.t.Seq)
-		}
-		return a.t.TS.After(b.t.TS) || (a.t.TS.Equal(b.t.TS) && a.t.Seq > b.t.Seq)
+	// Every set starts unsatisfied, so an entry's utility starts at its
+	// incidence count.
+	maxU := int32(0)
+	for j := range s.ents {
+		s.u[j] = s.entOff[j+1] - s.entOff[j]
+		maxU = max(maxU, s.u[j])
 	}
-	picks := s.picks[:0]
+	s.hist = resize(s.hist, int(maxU)+1)
+	for _, u := range s.u {
+		s.hist[u]++
+	}
+	picks := slices.Grow(s.picks[:0], min(remaining, len(s.ents)))
+	credits := slices.Grow(s.credits[:0], remaining)
 	for remaining > 0 {
-		var best *gentry
-		bestU := 0
-		for i := range s.entries {
-			e := &s.entries[i]
-			u := s.utility(e)
-			if u == 0 {
-				continue
-			}
-			if best == nil || u > bestU || (u == bestU && fresher(e, best)) {
-				best, bestU = e, u
-			}
+		for maxU > 0 && s.hist[maxU] == 0 {
+			maxU--
 		}
-		if best == nil {
+		if maxU == 0 {
 			// Unreachable: every unsatisfied set has an unchosen
 			// eligible tuple because need <= |eligible|.
 			return nil, fmt.Errorf("hitting: no pickable tuple with %d picks outstanding", remaining)
 		}
-		best.chosen = true
-		i := len(picks)
-		if i < cap(picks) {
-			picks = picks[:i+1]
-			picks[i].Tuple, picks[i].Sets = best.t, picks[i].Sets[:0]
-		} else {
-			picks = append(picks, Pick{Tuple: best.t})
+		best := s.first(maxU, preferEarliest)
+		s.hist[maxU]--
+		s.hist[0]++
+		s.u[best] = 0
+		from := len(credits)
+		for _, si := range s.entSet[s.entOff[best]:s.entOff[best+1]] {
+			if s.need[si] == 0 {
+				continue
+			}
+			s.need[si]--
+			remaining--
+			credits = append(credits, sets[si])
+			if s.need[si] == 0 {
+				// The set no longer counts toward its entries' utility.
+				for _, j := range s.incEnt[s.setOff[si]:s.setOff[si+1]] {
+					if u := s.u[j]; u > 0 {
+						s.hist[u]--
+						s.hist[u-1]++
+						s.u[j] = u - 1
+					}
+				}
+			}
 		}
-		for _, si := range best.sets {
-			if s.need[si] > 0 {
-				s.need[si]--
-				remaining--
-				picks[i].Sets = append(picks[i].Sets, sets[si])
+		picks = append(picks, Pick{Tuple: s.ents[best], Sets: credits[from:len(credits):len(credits)]})
+	}
+	s.picks, s.credits = picks, credits
+	return picks, nil
+}
+
+// first returns the first entry at utility u in tie-break order: from the
+// fresh end, or from the early end with preferEarliest. The histogram
+// says one exists.
+func (s *Solver) first(u int32, preferEarliest bool) int32 {
+	if preferEarliest {
+		for _, j := range s.ord {
+			if s.u[j] == u {
+				return j
+			}
+		}
+	} else {
+		for k := len(s.ord) - 1; k >= 0; k-- {
+			if j := s.ord[k]; s.u[j] == u {
+				return j
 			}
 		}
 	}
-	s.picks = picks
-	return picks, nil
+	panic(fmt.Sprintf("hitting: utility histogram counts an entry at %d, none found", u))
 }
 
 // Exact solves the instance optimally by branch and bound; intended for
@@ -279,13 +296,14 @@ func Exact(sets []*filter.CandidateSet) ([]Pick, error) {
 	if len(sets) == 0 {
 		return nil, nil
 	}
-	p, err := build(sets)
-	if err != nil {
+	var s Solver
+	if err := s.build(sets); err != nil {
 		return nil, err
 	}
-	best := len(p.entries) + 1
-	var bestChoice []*entry
-	var current []*entry
+	quota := slices.Clone(s.need)
+	chosen := make([]bool, len(s.ents))
+	best := len(s.ents) + 1
+	var bestChoice, current []int32
 
 	var rec func()
 	rec = func() {
@@ -294,17 +312,17 @@ func Exact(sets []*filter.CandidateSet) ([]Pick, error) {
 		}
 		// Find the unsatisfied set with the fewest remaining options.
 		target, options := -1, 0
-		for si := range p.sets {
-			if p.need[si] == 0 {
+		for si := range sets {
+			if s.need[si] == 0 {
 				continue
 			}
 			avail := 0
-			for _, e := range p.perSet[si] {
-				if !e.chosen {
+			for _, j := range s.incEnt[s.setOff[si]:s.setOff[si+1]] {
+				if !chosen[j] {
 					avail++
 				}
 			}
-			if avail < p.need[si] {
+			if avail < int(s.need[si]) {
 				return // infeasible branch
 			}
 			if target == -1 || avail < options {
@@ -315,29 +333,29 @@ func Exact(sets []*filter.CandidateSet) ([]Pick, error) {
 			// All satisfied: record the solution.
 			if len(current) < best {
 				best = len(current)
-				bestChoice = append([]*entry(nil), current...)
+				bestChoice = slices.Clone(current)
 			}
 			return
 		}
-		for _, e := range p.perSet[target] {
-			if e.chosen {
+		for _, j := range s.incEnt[s.setOff[target]:s.setOff[target+1]] {
+			if chosen[j] {
 				continue
 			}
-			e.chosen = true
-			credited := make([]int, 0, len(e.sets))
-			for _, si := range e.sets {
-				if p.need[si] > 0 {
-					p.need[si]--
+			chosen[j] = true
+			var credited []int32
+			for _, si := range s.entSet[s.entOff[j]:s.entOff[j+1]] {
+				if s.need[si] > 0 {
+					s.need[si]--
 					credited = append(credited, si)
 				}
 			}
-			current = append(current, e)
+			current = append(current, j)
 			rec()
 			current = current[:len(current)-1]
 			for _, si := range credited {
-				p.need[si]++
+				s.need[si]++
 			}
-			e.chosen = false
+			chosen[j] = false
 		}
 	}
 	rec()
@@ -346,24 +364,14 @@ func Exact(sets []*filter.CandidateSet) ([]Pick, error) {
 	}
 	// Rebuild per-set credits for the optimal choice, deterministically
 	// by choice order.
-	for i := range p.need {
-		el := p.sets[i].Eligible()
-		k := p.sets[i].PickDegree
-		if k <= 0 {
-			k = 1
-		}
-		if k > len(el) {
-			k = len(el)
-		}
-		p.need[i] = k
-	}
+	copy(s.need, quota)
 	var picks []Pick
-	for _, e := range bestChoice {
-		pick := Pick{Tuple: e.t}
-		for _, si := range e.sets {
-			if p.need[si] > 0 {
-				p.need[si]--
-				pick.Sets = append(pick.Sets, p.sets[si])
+	for _, j := range bestChoice {
+		pick := Pick{Tuple: s.ents[j]}
+		for _, si := range s.entSet[s.entOff[j]:s.entOff[j+1]] {
+			if s.need[si] > 0 {
+				s.need[si]--
+				pick.Sets = append(pick.Sets, sets[si])
 			}
 		}
 		picks = append(picks, pick)

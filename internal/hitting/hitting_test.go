@@ -350,3 +350,32 @@ func TestGreedyWithinLogBoundLargeRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestSolverAllocs: a reused Solver decides an instance without
+// allocating, and a fresh one allocates a fixed handful of scratch arrays
+// however many tuples, incidences and picks the instance has — every
+// engine starts with a fresh Solver, so that warm-up is paid per engine.
+func TestSolverAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	small, large := randomInstance(rng, 20, 60), randomInstance(rng, 400, 1200)
+	var warm Solver
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := warm.Greedy(large, false); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("reused solver: %v allocations per instance, want 0", n)
+	}
+	fresh := func(sets []*filter.CandidateSet) float64 {
+		return testing.AllocsPerRun(10, func() {
+			var s Solver
+			if _, err := s.Greedy(sets, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := fresh(small), fresh(large); b > a {
+		t.Errorf("fresh solver: %v allocations on %d sets, %v on %d; want a count that does not follow the instance",
+			a, len(small), b, len(large))
+	}
+}

@@ -189,24 +189,31 @@ func TestReadinessIsPrefixMonotone(t *testing.T) {
 	}
 }
 
-// TestTupleCountDistinct checks the sort-and-count-runs TupleCount on
-// overlapping sets, for a tracker-extracted region (tracker scratch) and a
-// hand-built one (no tracker).
+// TestTupleCountDistinct checks TupleCount on overlapping sets, for a
+// tracker-extracted region (tracker scratch) and a hand-built one (no
+// tracker), over a narrow window of sequence numbers and a sparse one
+// (the index's map form).
 func TestTupleCountDistinct(t *testing.T) {
-	sets := []*filter.CandidateSet{
-		setSpan("A", 0, 0, 10, 20), setSpan("B", 0, 10, 20, 30), setSpan("C", 0, 30, 40),
-	}
-	if got := (&Region{Sets: sets}).TupleCount(); got != 5 {
-		t.Errorf("hand-built region: %d distinct tuples, want 5", got)
-	}
-	var tr Tracker
-	for _, cs := range sets {
-		tr.Add(cs)
-	}
-	regions := tr.Flush()
-	for range 2 { // the second call reuses the scratch the first left
-		if got := regions[0].TupleCount(); got != 5 {
-			t.Errorf("extracted region: %d distinct tuples, want 5", got)
+	for _, c := range []struct {
+		sets []*filter.CandidateSet
+		want int
+	}{
+		{[]*filter.CandidateSet{setSpan("A", 0, 0, 10, 20), setSpan("B", 0, 10, 20, 30), setSpan("C", 0, 30, 40)}, 5},
+		{[]*filter.CandidateSet{setSpan("A", 0, 0, 10), setSpan("B", 0, 10, 100000), setSpan("C", 0, 100000, 200000)}, 4},
+	} {
+		sets, want := c.sets, c.want
+		if got := (&Region{Sets: sets}).TupleCount(); got != want {
+			t.Errorf("hand-built region: %d distinct tuples, want %d", got, want)
+		}
+		var tr Tracker
+		for _, cs := range sets {
+			tr.Add(cs)
+		}
+		regions := tr.Flush()
+		for range 2 { // the second call reuses the scratch the first left
+			if got := regions[0].TupleCount(); got != want {
+				t.Errorf("extracted region: %d distinct tuples, want %d", got, want)
+			}
 		}
 	}
 }

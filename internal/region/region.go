@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gasf/internal/filter"
+	"gasf/internal/tuple"
 )
 
 // Region is a maximal family of connected candidate sets (Definition 4).
@@ -49,21 +50,32 @@ func (r *Region) TupleCount() int {
 	if len(r.Sets) == 1 {
 		return len(r.Sets[0].Members)
 	}
-	// Sort the member sequence numbers and count the distinct ones.
-	var seqs []int
+	// Mark each member's sequence number once, in an index over the
+	// region's narrow window of numbers.
+	var idx *tuple.SeqIndex
 	if r.tr != nil {
-		seqs = r.tr.seqs[:0]
+		idx = &r.tr.seqs
+	} else {
+		idx = new(tuple.SeqIndex)
 	}
+	lo, hi, n := math.MaxInt, math.MinInt, 0
 	for _, cs := range r.Sets {
 		for _, m := range cs.Members {
-			seqs = append(seqs, m.Seq)
+			lo, hi = min(lo, m.Seq), max(hi, m.Seq)
+		}
+		n += len(cs.Members)
+	}
+	idx.Reset(lo, hi, n)
+	distinct := 0
+	for _, cs := range r.Sets {
+		for _, m := range cs.Members {
+			if idx.Get(m.Seq) == 0 {
+				idx.Set(m.Seq, 1)
+				distinct++
+			}
 		}
 	}
-	slices.Sort(seqs)
-	if r.tr != nil {
-		r.tr.seqs = seqs
-	}
-	return len(slices.Compact(seqs))
+	return distinct
 }
 
 // ClosedByCut reports whether any member set was closed by a timely cut;
@@ -122,7 +134,7 @@ type Tracker struct {
 	// Scratch behind the last returned regions, and behind TupleCount.
 	regions []Region
 	sets    []*filter.CandidateSet
-	seqs    []int
+	seqs    tuple.SeqIndex
 }
 
 // span is a pending set with its cover bounds, decoded once at Add.

@@ -827,14 +827,16 @@ func (s *Server) serveSubscriber(conn net.Conn, hello []byte) {
 		return
 	}
 	sub.m.Resume, sub.m.ResumeFrom = h.Resume, h.ResumeFrom
+	if h.Relay {
+		// An edge's upstream leg: the same session in every way, but
+		// tagged with the edge it fans out on for metrics and debug.
+		sub.relayEdge = h.RelayEdge
+	}
 	if err := s.core.Join(context.Background(), sub.m, spec); err != nil {
 		s.reject(conn, err)
 		return
 	}
 	if h.Relay {
-		// An edge's upstream leg: the same session in every way, but
-		// tagged with the edge it fans out on for metrics and debug.
-		sub.relayEdge = h.RelayEdge
 		s.ctr.fedRelayLegsIn.Add(1)
 	}
 	schemaPayload, err := EncodeSchema(sub.m.Schema)

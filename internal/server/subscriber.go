@@ -49,7 +49,8 @@ type subscriber struct {
 	// instead of touching a filter.
 	leg *relayLeg
 	// relayEdge, on a core, names the edge an upstream leg session
-	// belongs to (empty for direct subscribers).
+	// belongs to (empty for direct subscribers). It is written before the
+	// join publishes the member and only read after, by Debug.
 	relayEdge string
 }
 

@@ -133,8 +133,9 @@ type Config struct {
 	// telemetry.DefaultSampleEvery, negative disables telemetry.
 	TelemetrySampleEvery int
 	// ShareLabels says queued items alias Source.Labels, so a recompute
-	// must allocate a fresh slice instead of rewriting the old one in
-	// place.
+	// never rewrites the old slice in place: it shares the engine's
+	// immutable destination list when no addressee was pruned, and
+	// allocates a fresh slice only for a pruned view.
 	ShareLabels bool
 	// KeepResults makes every source's engine retain what it released
 	// (transmissions, latency samples) for Runtime().Results(), which the

@@ -135,21 +135,35 @@ func (c *Core[T]) Route(source string, dests []string) *Source[T] {
 	if src != nil && (src.Epoch != src.subEpoch || !slices.Equal(src.inDests, dests)) {
 		src.Epoch, src.inDests = src.subEpoch, dests
 		src.Targets = src.Targets[:0]
-		if c.cfg.ShareLabels {
-			src.Labels = make([]string, 0, len(dests))
-		} else {
-			src.Labels = src.Labels[:0]
-		}
 		members := c.members[source]
 		for _, app := range dests {
 			if m := members[app]; m != nil && m.active {
 				src.Targets = append(src.Targets, m)
-				src.Labels = append(src.Labels, app)
 			}
+		}
+		switch {
+		case !c.cfg.ShareLabels:
+			src.Labels = appendLabels(src.Labels[:0], src.Targets)
+		case len(src.Targets) == len(dests):
+			// Nothing pruned: queued items may share the engine's list,
+			// which is immutable.
+			src.Labels = dests
+		default:
+			// Queued items alias the old slice; a pruned view is new.
+			src.Labels = appendLabels(make([]string, 0, len(src.Targets)), src.Targets)
 		}
 	}
 	c.mu.RUnlock()
 	return src
+}
+
+// appendLabels appends the targets' labels, in the targets' order, to
+// labels.
+func appendLabels[T any](labels []string, targets []*Member[T]) []string {
+	for _, m := range targets {
+		labels = append(labels, m.App)
+	}
+	return labels
 }
 
 // AppendLog appends one fanned-out transmission (its wire form, labels
