@@ -1,8 +1,8 @@
 package gasf_test
 
 import (
-	"gasf/internal/multicast"
-	"gasf/internal/overlay"
+	"gasf/internal/experiments/multicast"
+	"gasf/internal/experiments/overlay"
 )
 
 // overlayNetwork builds the 7-node benchmark overlay, mirroring the

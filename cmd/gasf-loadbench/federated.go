@@ -5,7 +5,7 @@
 // the run reports the upstream dedup ratio the edge tier achieves (local
 // sessions per core→edge leg) together with the relay delivery latency
 // the edges observe. Results merge into -out under the "federation" key
-// and soft-gate against the previous run via internal/bench.Compare.
+// and soft-gate against the previous run via warnIfWorse.
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"gasf"
-	"gasf/internal/bench"
 )
 
 // fedSharing is how many subscriber sessions share each group: the
@@ -279,25 +278,15 @@ func runFederated(cfg federatedConfig, out string) error {
 		return nil
 	}
 	// Soft-gate against the previous committed section before replacing
-	// it, with the same Compare machinery as the overload gate: a
-	// collapsed dedup ratio or a relay latency blow-up warns loudly.
+	// it, like the overload gate: a collapsed dedup ratio or a relay
+	// latency blow-up warns loudly.
 	if prev, err := os.ReadFile(out); err == nil {
 		var base struct {
 			Federation *federatedReport `json:"federation"`
 		}
 		if json.Unmarshal(prev, &base) == nil && base.Federation != nil {
-			regs := bench.Compare(
-				&bench.Report{
-					UpstreamDedupRatio:   rep.UpstreamDedupRatio,
-					FederationRelayP99Ms: rep.RelayLatency.P99Ms,
-				},
-				&bench.Report{
-					UpstreamDedupRatio:   base.Federation.UpstreamDedupRatio,
-					FederationRelayP99Ms: base.Federation.RelayLatency.P99Ms,
-				}, 0.5)
-			for _, r := range regs {
-				fmt.Fprintln(os.Stderr, "gasf-loadbench: WARNING:", r)
-			}
+			warnIfWorse("upstream_dedup_ratio", rep.UpstreamDedupRatio, base.Federation.UpstreamDedupRatio, true)
+			warnIfWorse("federation_relay_p99 ms", rep.RelayLatency.P99Ms, base.Federation.RelayLatency.P99Ms, false)
 		}
 	}
 	doc := map[string]json.RawMessage{}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"gasf/internal/core"
+	"gasf/internal/experiments/multicast"
+	"gasf/internal/experiments/overlay"
 	"gasf/internal/metrics"
-	"gasf/internal/multicast"
-	"gasf/internal/overlay"
 	"gasf/internal/wire"
 )
 

@@ -12,7 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"gasf/internal/overlay"
+	"gasf/internal/experiments/overlay"
 )
 
 // LinkKey identifies a directed overlay link.

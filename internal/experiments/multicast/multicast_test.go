@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"gasf/internal/overlay"
+	"gasf/internal/experiments/overlay"
 )
 
 func testNet(t *testing.T, nodes int) *overlay.Network {

@@ -2,39 +2,28 @@
 // prototype runs on (§4.1.1): a ring of nodes with DHT-style finger
 // routing in the spirit of Pastry/Scribe, per-link delay and bandwidth
 // parameters, and key-based rendezvous routing. The multicast layer builds
-// Scribe-like trees on top of it (internal/multicast).
+// Scribe-like trees on top of it (internal/experiments/multicast).
 //
 // The simulator is in-process and deterministic; link delays and
 // capacities default to values calibrated against the paper's Emulab
 // deployments (1-5 Mbps links, §4.1.2/§5.4).
 //
-// The ring's rendezvous primitive (HashKey plus successor ownership) is
-// promoted to the real networked deployment by internal/federate, which
-// places sources on core brokers and congregates each group's relay
-// fan-out on one edge with the same arithmetic. The simulation-only
-// ownership and delay-accounting paths that federate superseded are
-// gone from here; what remains is exactly what the in-process
-// simulations (multicast, experiments) still route with.
+// Node identifiers are federate.HashKey positions, the hash the
+// networked deployment places sources and relay groups with; this
+// package holds only what the in-process simulations (multicast,
+// experiments) route with.
 package overlay
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"time"
+
+	"gasf/internal/federate"
 )
 
 // NodeID is a position on the identifier ring.
 type NodeID uint32
-
-// HashKey maps an arbitrary string key (a group name, a source name) to a
-// ring position, for rendezvous routing.
-func HashKey(key string) NodeID {
-	h := fnv.New32a()
-	// fnv never fails.
-	_, _ = h.Write([]byte(key))
-	return NodeID(h.Sum32())
-}
 
 // Link models one overlay hop.
 type Link struct {
@@ -90,7 +79,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("node%d", i)
-		id := HashKey(fmt.Sprintf("%s#%d", name, cfg.Seed))
+		id := NodeID(federate.HashKey(fmt.Sprintf("%s#%d", name, cfg.Seed)))
 		for {
 			if _, dup := n.names[id]; !dup {
 				break

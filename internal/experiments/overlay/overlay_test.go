@@ -110,12 +110,3 @@ func TestRoutingTerminatesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestHashKeyDeterministic(t *testing.T) {
-	if HashKey("x") != HashKey("x") {
-		t.Error("HashKey not deterministic")
-	}
-	if HashKey("x") == HashKey("y") {
-		t.Error("suspicious collision between distinct short keys")
-	}
-}

@@ -10,20 +10,28 @@
 // rebalance diff, and the rendezvous choice of which edge a group's
 // relay fan-out should congregate on.
 //
-// The ring reuses the overlay simulator's key hashing
-// (overlay.HashKey, fnv32a) — the same rendezvous primitive the
-// in-process multicast trees are built on, promoted here to a real
-// topology — so a key owner computed by a client matches the owner
-// computed by every server handed the same peer list.
+// Every ring position and rendezvous weight is HashKey (fnv32a) of a
+// name, so a key owner computed by a client matches the owner computed
+// by every server handed the same peer list. The paper's overlay
+// simulator (internal/experiments/overlay) places its nodes with the
+// same function.
 package federate
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
-
-	"gasf/internal/overlay"
 )
+
+// HashKey maps an arbitrary string key (a group name, a source name) to a
+// ring position, for rendezvous routing.
+func HashKey(key string) uint32 {
+	h := fnv.New32a()
+	// fnv never fails.
+	_, _ = h.Write([]byte(key))
+	return h.Sum32()
+}
 
 // Role is a broker's position in the federation.
 type Role int
@@ -130,7 +138,7 @@ const VirtualPoints = 64
 // ringPoint is one virtual position: the hash and the index of the
 // core that owns it.
 type ringPoint struct {
-	id   overlay.NodeID
+	id   uint32
 	node int
 }
 
@@ -160,7 +168,7 @@ func NewTopology(cores []Node) (*Topology, error) {
 	for i, n := range nodes {
 		for v := 0; v < VirtualPoints; v++ {
 			t.points = append(t.points, ringPoint{
-				id:   overlay.HashKey(fmt.Sprintf("%s#%d", n.Name, v)),
+				id:   HashKey(fmt.Sprintf("%s#%d", n.Name, v)),
 				node: i,
 			})
 		}
@@ -188,7 +196,7 @@ func (t *Topology) Nodes() []Node {
 // of the source name's hash, exactly the rendezvous rule the overlay
 // simulator routes multicast groups by.
 func (t *Topology) Owner(source string) Node {
-	k := overlay.HashKey(source)
+	k := HashKey(source)
 	i := sort.Search(len(t.points), func(i int) bool { return t.points[i].id >= k })
 	if i == len(t.points) {
 		i = 0
@@ -229,9 +237,9 @@ func EdgeFor(groupKey string, edges []Node) (Node, error) {
 	if len(edges) == 0 {
 		return Node{}, fmt.Errorf("federate: no edges to place group on")
 	}
-	best, bestW := 0, overlay.NodeID(0)
+	best, bestW := 0, uint32(0)
 	for i, e := range edges {
-		w := overlay.HashKey(groupKey + "\x00" + e.Name)
+		w := HashKey(groupKey + "\x00" + e.Name)
 		if i == 0 || w > bestW || (w == bestW && e.Name < edges[best].Name) {
 			best, bestW = i, w
 		}

@@ -168,7 +168,7 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("server: truncated frame payload: %w", err)
+		return 0, nil, truncatedPayload(err)
 	}
 	return kind, payload, nil
 }
@@ -179,7 +179,7 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 // The header is parsed in place in the reader's buffer, so a frame whose
 // payload fits buf costs no allocation; the payload is returned even on
 // error so the caller can carry the grown buffer forward. A stream that
-// ends between frames reports io.EOF, one that ends inside a header
+// ends between frames reports io.EOF, one that ends inside a frame
 // io.ErrUnexpectedEOF.
 func ReadFrameInto(br *bufio.Reader, buf []byte) (byte, []byte, error) {
 	hdr, err := br.Peek(frameHeaderLen)
@@ -200,9 +200,20 @@ func ReadFrameInto(br *bufio.Reader, buf []byte) (byte, []byte, error) {
 		buf = buf[:n]
 	}
 	if _, err := io.ReadFull(br, buf); err != nil {
-		return 0, buf, fmt.Errorf("server: truncated frame payload: %w", err)
+		return 0, buf, truncatedPayload(err)
 	}
 	return kind, buf, nil
+}
+
+// truncatedPayload wraps a payload read error. A stream that ends before
+// the first payload byte still ends inside the frame its header began,
+// so a bare io.EOF becomes io.ErrUnexpectedEOF: read loops treat io.EOF
+// as a clean close.
+func truncatedPayload(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("server: truncated frame payload: %w", err)
 }
 
 // beginFrame starts encoding a frame in place at the start of buf: it
@@ -345,8 +356,10 @@ func EncodeSubHelloRelay(app, source, spec string, queue int, resume bool, from 
 	return buf, nil
 }
 
-// DecodeSubHello decodes a subscriber hello payload of either protocol
-// version: a payload ending right after the queue depth is version 1.
+// DecodeSubHello decodes a subscriber hello payload of any protocol
+// version up to SubProtoVersionRelay: a payload ending right after the
+// queue depth is version 1. A later version is rejected, not read with
+// the version-3 layout.
 func DecodeSubHello(data []byte) (h SubHello, err error) {
 	app, n, err := readString(data)
 	if err != nil {
@@ -374,8 +387,11 @@ func DecodeSubHello(data []byte) (h SubHello, err error) {
 		return h, nil
 	}
 	v, vn := binary.Uvarint(rest)
-	if vn <= 0 || v < 2 || v > 1<<10 {
+	if vn <= 0 || v < 2 {
 		return SubHello{}, fmt.Errorf("server: bad protocol version in subscriber hello")
+	}
+	if v > SubProtoVersionRelay {
+		return SubHello{}, fmt.Errorf("server: subscriber hello speaks protocol version %d, newer than this server's %d", v, SubProtoVersionRelay)
 	}
 	rest = rest[vn:]
 	h.Version = int(v)

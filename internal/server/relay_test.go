@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -77,6 +78,18 @@ func TestSubHelloRelayVersion(t *testing.T) {
 	}
 	if _, err := DecodeSubHello(good[:len(good)-2]); err == nil {
 		t.Fatal("truncated relay edge name accepted")
+	}
+
+	// A version this server does not speak is rejected by name, not read
+	// with the version-3 layout it happens to share.
+	future := append([]byte(nil), good...)
+	future[len(future)-5] = 7 // version precedes resume flag, relay flag, uvarint(1) and the name
+	_, err = DecodeSubHello(future)
+	if err == nil {
+		t.Fatal("version-7 hello accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "7") || !strings.Contains(msg, fmt.Sprint(SubProtoVersionRelay)) {
+		t.Fatalf("version error does not name both versions: %v", err)
 	}
 }
 

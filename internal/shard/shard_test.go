@@ -404,22 +404,3 @@ func TestStressCancelMidStream(t *testing.T) {
 		t.Errorf("%d enqueued tuples unaccounted for (processed %d, dropped %d)", enq-proc-drop, proc, drop)
 	}
 }
-
-func TestRunCellSmoke(t *testing.T) {
-	res, err := RunCell(CellConfig{Shards: 2, Sources: 6, TuplesPerSource: 80, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tuples != 6*80 {
-		t.Errorf("tuples = %d, want %d", res.Tuples, 6*80)
-	}
-	if res.TuplesPerSec <= 0 || res.ElapsedMS <= 0 {
-		t.Errorf("degenerate measurement: %+v", res)
-	}
-	if res.Transmissions == 0 || res.Flushes == 0 {
-		t.Errorf("no output measured: %+v", res)
-	}
-	if res.Dropped != 0 {
-		t.Errorf("dropped %d tuples under pure backpressure", res.Dropped)
-	}
-}

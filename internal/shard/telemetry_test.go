@@ -7,9 +7,38 @@ import (
 	"testing"
 
 	"gasf/internal/core"
+	"gasf/internal/filter"
 	"gasf/internal/telemetry"
+	"gasf/internal/trace"
 	"gasf/internal/tuple"
 )
+
+// dc1Workload is a NAMOS trace of n tuples shared by `sources` groups of
+// three DC1 filters on tmpr4, their deltas spread 1×, 1.37× and 1.74×
+// the mean absolute change, each with half its delta as slack.
+func dc1Workload(t *testing.T, sources, n int) (*tuple.Series, [][]filter.Filter) {
+	t.Helper()
+	sr, err := trace.NAMOS(trace.Config{N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stat, err := sr.MeanAbsChange("tmpr4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := make([][]filter.Filter, sources)
+	for s := range groups {
+		for i := 0; i < 3; i++ {
+			mult := 1 + float64(i)*0.37
+			f, err := filter.NewDC1(fmt.Sprintf("app%d", i+1), "tmpr4", mult*stat, 0.5*mult*stat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups[s] = append(groups[s], f)
+		}
+	}
+	return sr, groups
+}
 
 // TestTelemetryAllocOverhead gates the cost of the stage-timing
 // instrumentation on the shard hot path: a full run with telemetry
@@ -21,10 +50,7 @@ import (
 func TestTelemetryAllocOverhead(t *testing.T) {
 	const tuples = 2000
 	run := func(tel *telemetry.Pipeline) float64 {
-		sr, groups, err := BuildWorkload(CellConfig{Sources: 1, TuplesPerSource: tuples, Shards: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sr, groups := dc1Workload(t, 1, tuples)
 		rt := New(Config{Shards: 1, Telemetry: tel})
 		if err := rt.AddGroup("src", groups[0], core.Options{Algorithm: core.RG}); err != nil {
 			t.Fatal(err)
@@ -65,10 +91,7 @@ func TestTelemetryAllocOverhead(t *testing.T) {
 // histograms (ring residency and engine step).
 func TestTelemetryStageTiming(t *testing.T) {
 	tel := telemetry.New(1)
-	sr, groups, err := BuildWorkload(CellConfig{Sources: 2, TuplesPerSource: 100, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sr, groups := dc1Workload(t, 2, 100)
 	rt := New(Config{Shards: 2, Telemetry: tel})
 	series := make(map[string]*tuple.Series)
 	for i, g := range groups {
