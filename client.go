@@ -62,7 +62,7 @@ func (c *Client) Subscribe(app, source, spec string) (*StreamSub, error) {
 // WithQueueDepth(queue)) instead. SubscribeBuffered remains a working
 // wrapper over the same wire session.
 func (c *Client) SubscribeBuffered(app, source, spec string, queue int) (*StreamSub, error) {
-	return server.DialSubscriberBuffered(c.Addr, app, source, spec, queue)
+	return server.DialSubscriberOpts(c.Addr, app, source, spec, server.SubDialOpts{Queue: queue})
 }
 
 // ServerConfig configures an embedded streaming server (see cmd/gasf-server

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,8 +70,9 @@ type Delivery struct {
 	ReceivedAt   time.Time
 	// Offset is the delivery's position in the source's durable log when
 	// the broker runs with Config.DataDir (0 otherwise, and 0 for the log's
-	// first record). A consumer that checkpointed offset o resumes with
-	// SubOptions.ResumeFrom = o+1.
+	// first record) — the same number the networked transport carries in
+	// every transmission frame. A consumer that checkpointed offset o
+	// resumes with SubOptions.ResumeFrom = o+1.
 	Offset uint64
 }
 
@@ -335,38 +335,30 @@ func (b *Broker) Subscribe(ctx context.Context, app, source string, spec quality
 // QoSApplied implements session.Peer.
 func (s *Sub) QoSApplied(scale float64) { s.applied.Store(math.Float64bits(scale)) }
 
-// runReplay streams the log records of [ResumeFrom, SpliceTo) addressed
-// to this app onto the replay channel, in offset order, then closes it.
-// Records naming other apps only (delivered while this one was away) are
-// skipped. A decode or read failure is recorded in replayErr before the
-// close, so the consumer surfaces it instead of silently skipping to the
-// live stream over a gap. It ends at the fence or with the subscription.
+// runReplay decodes the member's history (session.Core.Replay) onto the
+// replay channel, in offset order, then closes it. A decode or read
+// failure is recorded in replayErr before the close, so the consumer
+// surfaces it instead of silently skipping to the live stream over a
+// gap. It ends at the fence or with the subscription.
 func (s *Sub) runReplay() {
 	defer close(s.replay)
 	m := s.m
-	err := s.b.core.Log().Read(m.Source, m.ResumeFrom, m.SpliceTo, func(off uint64, payload []byte) error {
+	err := s.b.core.Replay(m, func(off uint64, payload []byte) error {
 		t, dests, _, err := wire.DecodeTransmission(m.Schema, payload)
 		if err != nil {
 			return fmt.Errorf("broker: replaying %q at offset %d: %w", m.Source, off, err)
-		}
-		if !slices.Contains(dests, m.App) {
-			return nil
 		}
 		select {
 		case s.replay <- Delivery{Tuple: t, Destinations: dests, Offset: off}:
 			return nil
 		case <-m.Done():
-			return errReplayAborted
+			return session.ErrReplayAborted
 		}
 	})
-	if err != nil && !errors.Is(err, errReplayAborted) {
+	if err != nil && !errors.Is(err, session.ErrReplayAborted) {
 		s.replayErr = err
 	}
 }
-
-// errReplayAborted marks a replay cut short by the subscription's own
-// departure — an orderly exit, not a failure.
-var errReplayAborted = errors.New("broker: replay aborted by departure")
 
 // App returns the application name of this subscription.
 func (s *Sub) App() string { return s.m.App }

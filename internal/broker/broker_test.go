@@ -8,9 +8,11 @@ import (
 
 	"gasf/internal/core"
 	"gasf/internal/quality"
+	"gasf/internal/seglog"
 	"gasf/internal/session"
 	"gasf/internal/trace"
 	"gasf/internal/tuple"
+	"gasf/internal/wire"
 )
 
 func testCtx(t *testing.T) context.Context {
@@ -425,5 +427,66 @@ func TestSourceEviction(t *testing.T) {
 	publishSeq(t, ctx, live, 10_000, 1)
 	if err := barrier.Sync(ctx); err != nil {
 		t.Errorf("barrier source evicted despite Syncs: %v", err)
+	}
+}
+
+// TestResumeSkipsRecordsForOtherApps: a resuming subscription's replay
+// tests each log record's labels before decoding it, so a record naming
+// only another application is skipped even when its tuple body would not
+// decode, and the history around it arrives intact.
+func TestResumeSkipsRecordsForOtherApps(t *testing.T) {
+	ctx := testCtx(t)
+	dir := t.TempDir()
+	log, err := seglog.Open(dir, seglog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := tuple.MustSchema("v")
+	mine, err := wire.AppendTransmission(nil, tuple.MustNew(schema, 0, trace.Epoch, []float64{7}), []string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One label, "other", then a tuple body cut short.
+	theirs := []byte{1, 5, 'o', 't', 'h', 'e', 'r', 0xFF}
+	for _, rec := range [][]byte{mine, theirs} {
+		if _, err := log.Append("bench", rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := New(session.Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close(ctx)
+	src := openBench(t, b)
+	sub, err := b.Subscribe(ctx, "a", "bench", passAllSpec(t), SubOptions{Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const live = 10
+	publishSeq(t, ctx, src, 1, live)
+	if err := src.Finish(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var offsets []uint64
+	for {
+		d, err := sub.Recv(ctx)
+		if errors.Is(err, ErrStreamEnded) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after %d deliveries: %v", len(offsets), err)
+		}
+		if len(offsets) == 0 && (d.Tuple.Values[0] != 7 || d.Destinations[0] != "a") {
+			t.Fatalf("first delivery %v to %v, want the replayed record", d.Tuple, d.Destinations)
+		}
+		offsets = append(offsets, d.Offset)
+	}
+	if len(offsets) != 1+live || offsets[0] != 0 || offsets[1] != 2 {
+		t.Fatalf("offsets %v: want 0, then the live stream from 2", offsets)
 	}
 }

@@ -22,12 +22,12 @@ type wedgeQueue struct {
 	head int
 }
 
-func (q *wedgeQueue) empty() bool        { return q.head == len(q.buf) }
-func (q *wedgeQueue) front() wedgeEntry  { return q.buf[q.head] }
-func (q *wedgeQueue) back() wedgeEntry   { return q.buf[len(q.buf)-1] }
-func (q *wedgeQueue) popBack()           { q.buf = q.buf[:len(q.buf)-1] }
-func (q *wedgeQueue) push(e wedgeEntry)  { q.buf = append(q.buf, e) }
-func (q *wedgeQueue) reset()             { q.buf, q.head = q.buf[:0], 0 }
+func (q *wedgeQueue) empty() bool       { return q.head == len(q.buf) }
+func (q *wedgeQueue) front() wedgeEntry { return q.buf[q.head] }
+func (q *wedgeQueue) back() wedgeEntry  { return q.buf[len(q.buf)-1] }
+func (q *wedgeQueue) popBack()          { q.buf = q.buf[:len(q.buf)-1] }
+func (q *wedgeQueue) push(e wedgeEntry) { q.buf = append(q.buf, e) }
+func (q *wedgeQueue) reset()            { q.buf, q.head = q.buf[:0], 0 }
 
 func (q *wedgeQueue) popFront() {
 	q.head++

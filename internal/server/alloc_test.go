@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
@@ -26,13 +27,14 @@ func (r *loopReader) Read(p []byte) (int, error) {
 }
 
 // transmissionFrames encodes n pass-all transmission frames of the
-// one-attribute schema, each labeled with the three apps, back to back.
+// one-attribute schema, each labeled with the three apps and carrying
+// its index as the log offset, back to back.
 func transmissionFrames(t *testing.T, schema *tuple.Schema, n int) []byte {
 	t.Helper()
 	var stream []byte
 	for i := 0; i < n; i++ {
 		tp := tuple.MustNew(schema, i, time.Unix(1, int64(i)), []float64{float64(i)})
-		payload, err := wire.AppendTransmission(nil, tp, []string{"app-a", "app-b", "app-c"})
+		payload, err := wire.AppendTransmission(binary.LittleEndian.AppendUint64(nil, uint64(i)), tp, []string{"app-a", "app-b", "app-c"})
 		if err != nil {
 			t.Fatal(err)
 		}

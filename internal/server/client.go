@@ -413,11 +413,11 @@ type Delivery struct {
 	// per session, shared by every delivery that names the label.
 	Destinations []string
 	ReceivedAt   time.Time
-	// Offset is the durable log offset of this transmission, valid when
-	// the server runs with durability (offset-bearing frames). The
-	// checkpoint contract: after processing the delivery at offset o,
-	// resume with o+1 to continue exactly after it. Always 0 against a
-	// non-durable server.
+	// Offset is the durable log offset of this transmission, carried by
+	// every transmission frame. The checkpoint contract: after processing
+	// the delivery at offset o, resume with o+1 to continue exactly after
+	// it. Always 0 against a non-durable server, which refuses a resume
+	// with ErrResumeUnavailable.
 	Offset uint64
 }
 
@@ -455,21 +455,7 @@ type Subscriber struct {
 // in the paper's notation, e.g. "DC1(temperature, 0.5, 0.25)"; the
 // returned subscriber carries the source schema from the handshake.
 func DialSubscriber(addr, app, source, spec string) (*Subscriber, error) {
-	return DialSubscriberBuffered(addr, app, source, spec, 0)
-}
-
-// DialSubscriberBuffered is DialSubscriber with an explicit server-side
-// send-queue depth for this session (how many deliveries the server
-// buffers before its slow-consumer policy applies); 0 accepts the server
-// default.
-func DialSubscriberBuffered(addr, app, source, spec string, queue int) (*Subscriber, error) {
-	return DialSubscriberTimeout(addr, app, source, spec, queue, 0)
-}
-
-// DialSubscriberTimeout is DialSubscriberBuffered with an explicit
-// dial-plus-handshake timeout; 0 means the 5s default.
-func DialSubscriberTimeout(addr, app, source, spec string, queue int, timeout time.Duration) (*Subscriber, error) {
-	return DialSubscriberOpts(addr, app, source, spec, SubDialOpts{Queue: queue, Timeout: timeout})
+	return DialSubscriberOpts(addr, app, source, spec, SubDialOpts{})
 }
 
 // SubDialOpts parameterizes a subscriber session dial beyond the
@@ -499,7 +485,7 @@ type SubDialOpts struct {
 // DialSubscriberOpts joins a source's group with explicit session
 // options, the full-control variant of DialSubscriber.
 func DialSubscriberOpts(addr, app, source, spec string, o SubDialOpts) (*Subscriber, error) {
-	hello, err := EncodeSubHelloResume(app, source, spec, o.Queue, o.Resume, o.ResumeFrom)
+	hello, err := EncodeSubHello(SubHello{App: app, Source: source, Spec: spec, Queue: o.Queue, Resume: o.Resume, ResumeFrom: o.ResumeFrom})
 	if err != nil {
 		return nil, err
 	}
@@ -550,41 +536,18 @@ func (c *Subscriber) QoS() float64 {
 // disconnect and a nil Delivery with ErrStreamEnded once the server ends
 // the stream gracefully (source finished or server drained).
 func (c *Subscriber) Recv() (*Delivery, error) {
-	for {
-		kind, payload, err := ReadFrameInto(c.br, c.buf)
-		c.buf = payload[:cap(payload)]
-		if err != nil {
-			return nil, fmt.Errorf("server: receiving: %w", err)
-		}
-		switch kind {
-		case FrameTransmission, FrameTransmissionOff:
-			body, offset, err := splitOffset(kind, payload)
-			if err != nil {
-				return nil, err
-			}
-			t, dests, n, err := wire.DecodeTransmission(c.schema, body)
-			if err != nil {
-				return nil, err
-			}
-			if n != len(body) {
-				return nil, fmt.Errorf("server: transmission frame carries %d trailing bytes", len(body)-n)
-			}
-			return &Delivery{Tuple: t, Destinations: dests, ReceivedAt: time.Now(), Offset: offset}, nil
-		case FrameHeartbeat:
-			continue
-		case FrameQoS:
-			if err := c.noteQoS(payload); err != nil {
-				return nil, err
-			}
-			continue
-		case FrameGoodbye:
-			return nil, goodbyeEnd(payload)
-		case FrameError:
-			return nil, remoteError(payload)
-		default:
-			return nil, fmt.Errorf("server: unexpected frame kind %d", kind)
-		}
+	body, offset, err := c.next()
+	if err != nil {
+		return nil, err
 	}
+	t, dests, n, err := wire.DecodeTransmission(c.schema, body)
+	if err == nil {
+		err = trailing(body, n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Delivery{Tuple: t, Destinations: dests, ReceivedAt: time.Now(), Offset: offset}, nil
 }
 
 // RecvInto is Recv without the per-delivery allocations: it blocks for the
@@ -597,69 +560,69 @@ func (c *Subscriber) Recv() (*Delivery, error) {
 // retain tuples across receives must use Recv. It returns ErrStreamEnded
 // like Recv.
 func (c *Subscriber) RecvInto(d *Delivery) error {
+	body, offset, err := c.next()
+	if err != nil {
+		return err
+	}
+	if d.Tuple == nil {
+		d.Tuple = new(tuple.Tuple)
+	}
+	views, n, err := wire.DecodeTransmissionInto(d.Tuple, c.schema, c.labelViews[:0], body)
+	c.labelViews = views
+	if err == nil {
+		err = trailing(body, n)
+	}
+	if err != nil {
+		return err
+	}
+	d.Destinations = d.Destinations[:0]
+	for _, v := range views {
+		d.Destinations = append(d.Destinations, c.labels.Intern(v))
+	}
+	d.ReceivedAt = time.Now()
+	d.Offset = offset
+	return nil
+}
+
+// next reads frames until a transmission arrives and returns its body
+// (aliasing the session's payload buffer) and log offset. Heartbeats are
+// skipped and QoS announcements recorded; a goodbye, an error frame or an
+// unknown kind ends the receive with its typed error.
+func (c *Subscriber) next() (body []byte, offset uint64, err error) {
 	for {
 		kind, payload, err := ReadFrameInto(c.br, c.buf)
 		c.buf = payload[:cap(payload)]
 		if err != nil {
-			return fmt.Errorf("server: receiving: %w", err)
+			return nil, 0, fmt.Errorf("server: receiving: %w", err)
 		}
 		switch kind {
-		case FrameTransmission, FrameTransmissionOff:
-			body, offset, err := splitOffset(kind, payload)
-			if err != nil {
-				return err
+		case FrameTransmission:
+			if len(payload) < 8 {
+				return nil, 0, fmt.Errorf("server: truncated offset in transmission frame")
 			}
-			if d.Tuple == nil {
-				d.Tuple = new(tuple.Tuple)
-			}
-			views, n, err := wire.DecodeTransmissionInto(d.Tuple, c.schema, c.labelViews[:0], body)
-			c.labelViews = views
-			if err != nil {
-				return err
-			}
-			if n != len(body) {
-				return fmt.Errorf("server: transmission frame carries %d trailing bytes", len(body)-n)
-			}
-			d.Destinations = d.Destinations[:0]
-			for _, v := range views {
-				d.Destinations = append(d.Destinations, c.intern(v))
-			}
-			d.ReceivedAt = time.Now()
-			d.Offset = offset
-			return nil
+			return payload[8:], binary.LittleEndian.Uint64(payload), nil
 		case FrameHeartbeat:
-			continue
 		case FrameQoS:
 			if err := c.noteQoS(payload); err != nil {
-				return err
+				return nil, 0, err
 			}
-			continue
 		case FrameGoodbye:
-			return goodbyeEnd(payload)
+			return nil, 0, goodbyeEnd(payload)
 		case FrameError:
-			return remoteError(payload)
+			return nil, 0, remoteError(payload)
 		default:
-			return fmt.Errorf("server: unexpected frame kind %d", kind)
+			return nil, 0, fmt.Errorf("server: unexpected frame kind %d", kind)
 		}
 	}
 }
 
-// intern maps a label view to a stable per-session string via the
-// bounded interner: a resident label allocates nothing, and a churning
-// label stream can never grow the session's memory without bound.
-func (c *Subscriber) intern(b []byte) string { return c.labels.Intern(b) }
-
-// splitOffset strips the durable log offset off an offset-bearing
-// transmission payload; a plain transmission passes through with
-// offset 0.
-func splitOffset(kind byte, payload []byte) (body []byte, offset uint64, err error) {
-	if kind != FrameTransmissionOff {
-		return payload, 0, nil
+// trailing rejects a transmission frame whose body is longer than the
+// n bytes its transmission decoded from.
+func trailing(body []byte, n int) error {
+	if n != len(body) {
+		return fmt.Errorf("server: transmission frame carries %d trailing bytes", len(body)-n)
 	}
-	if len(payload) < 8 {
-		return nil, 0, fmt.Errorf("server: truncated offset in transmission frame")
-	}
-	return payload[8:], binary.LittleEndian.Uint64(payload), nil
+	return nil
 }
 
 // armRecv readies the session for one receive bounded by ctx. A context

@@ -41,11 +41,15 @@ type DebugSubscriber struct {
 // edge node: the group it deduplicates, the core it streams from, and
 // how many local members fan out from it.
 type DebugLeg struct {
-	Source     string `json:"source"`
-	App        string `json:"app"`
-	Spec       string `json:"spec"`
-	Core       string `json:"core"`
-	Members    int    `json:"members"`
+	Source  string `json:"source"`
+	App     string `json:"app"`
+	Spec    string `json:"spec"`
+	Core    string `json:"core"`
+	Members int    `json:"members"`
+	// LastOffset is the offset of the last transmission the leg relayed;
+	// Durable reports that it holds that resume checkpoint (a delivery
+	// was seen since the leg last joined live). Against a non-durable
+	// core the offset is 0 and the first resume is refused, clearing it.
 	LastOffset uint64 `json:"last_offset,omitempty"`
 	Durable    bool   `json:"durable,omitempty"`
 }
@@ -177,7 +181,7 @@ func (s *Server) Debug() DebugInfo {
 					Core:       leg.coreName,
 					Members:    len(leg.members),
 					LastOffset: leg.lastOffset.Load(),
-					Durable:    leg.durable.Load(),
+					Durable:    leg.seenOffset.Load(),
 				})
 				leg.mu.Unlock()
 			}

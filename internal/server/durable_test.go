@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,56 +17,65 @@ func ctxTimeout() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), 10*time.Second)
 }
 
-// TestSubHelloVersions pins the handshake compatibility contract: a
-// version-1 payload (nothing after the queue depth) still decodes, the
-// current encoder always stamps version 2, and the resume trailer
-// round-trips exactly.
+// TestSubHelloVersions pins the handshake contract: the encoder stamps
+// SubProtoVersion, the resume offset round-trips exactly, and a hello of
+// any other version — a pre-resume payload with no version at all, or an
+// older numbered one — is rejected with both versions named rather than
+// read with a layout it does not share.
 func TestSubHelloVersions(t *testing.T) {
-	// Hand-rolled version-1 payload, as a pre-resume client would send.
-	v1 := appendString(nil, "app")
-	v1 = appendString(v1, "src")
-	v1 = appendString(v1, "DC1(v, 0.5, 0)")
-	v1 = binary.AppendUvarint(v1, 7)
-	h, err := DecodeSubHello(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Version != 1 || h.Resume || h.App != "app" || h.Source != "src" || h.Queue != 7 {
-		t.Fatalf("v1 decode: %+v", h)
-	}
-
-	enc, err := EncodeSubHello("app", "src", "DC1(v, 0.5, 0)", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err = DecodeSubHello(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Version != SubProtoVersion || h.Resume || h.ResumeFrom != 0 {
-		t.Fatalf("v2 decode: %+v", h)
+	const spec = "DC1(v, 0.5, 0)"
+	for _, want := range []SubHello{
+		{App: "app", Source: "src", Spec: spec, Queue: 7},
+		{App: "app", Source: "src", Spec: spec, Queue: 7, Resume: true, ResumeFrom: 42},
+		{App: "app", Source: "src", Spec: spec, Resume: true},
+	} {
+		enc, err := EncodeSubHello(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := DecodeSubHello(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != want {
+			t.Fatalf("round trip: got %+v, want %+v", h, want)
+		}
 	}
 
-	enc, err = EncodeSubHelloResume("app", "src", "DC1(v, 0.5, 0)", 7, true, 42)
-	if err != nil {
-		t.Fatal(err)
+	// Hand-rolled older hellos, as earlier clients sent them.
+	base := appendString(nil, "app")
+	base = appendString(base, "src")
+	base = appendString(base, spec)
+	base = binary.AppendUvarint(base, 7)
+	v2 := append(binary.AppendUvarint(append([]byte(nil), base...), 2), 0)
+	for name, old := range map[string][]byte{"unversioned": base, "version 2": v2} {
+		_, err := DecodeSubHello(old)
+		if err == nil {
+			t.Fatalf("%s hello accepted", name)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprint(SubProtoVersion)) {
+			t.Fatalf("%s hello: error does not name this server's version: %v", name, err)
+		}
 	}
-	h, err = DecodeSubHello(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Resume || h.ResumeFrom != 42 || h.Version != SubProtoVersion {
-		t.Fatalf("resume decode: %+v", h)
+	if _, err := DecodeSubHello(v2); !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("version-2 hello: error does not name the client's version: %v", err)
 	}
 
 	// Corrupted trailers must be rejected, not misread.
+	enc, err := EncodeSubHello(SubHello{App: "app", Source: "src", Spec: spec, Resume: true, ResumeFrom: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := DecodeSubHello(append(append([]byte(nil), enc...), 0xFF)); err == nil {
 		t.Fatal("trailing junk accepted")
 	}
 	bad := append([]byte(nil), enc...)
-	bad[len(enc)-9] = 2 // resume flag is neither 0 nor 1
+	bad[len(enc)-9] |= 0x80 // a flag bit this version does not define
 	if _, err := DecodeSubHello(bad); err == nil {
-		t.Fatal("bad resume flag accepted")
+		t.Fatal("unknown flag accepted")
+	}
+	if _, err := DecodeSubHello(enc[:len(enc)-1]); err == nil {
+		t.Fatal("truncated resume offset accepted")
 	}
 }
 

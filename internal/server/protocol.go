@@ -13,19 +13,20 @@
 // A connection opens with exactly one hello frame declaring its role:
 //
 //	source hello:     name | u16 attr count | attr names   (strings are uvarint length + bytes)
-//	subscriber hello: app name | source name | quality spec (internal/quality notation)
+//	subscriber hello: app | source | quality spec (internal/quality notation) | uvarint queue |
+//	                  uvarint version | u8 flags | [u64 resume offset] | [edge name]
 //
 // The server answers hello-ok (carrying the source schema for
 // subscribers, empty for sources) or error (a message, then close). After
 // the handshake a source streams tuple frames (wire tuple encoding bound
 // to the advertised schema) interleaved with heartbeats; a subscriber
-// receives transmission frames (wire transmission encoding: destination
-// labels + tuple) and heartbeats. Goodbye announces a graceful end of
-// stream in either direction. A source may interleave ping frames: the
-// server answers each with a pong once every earlier tuple has been
-// submitted to the shard runtime (the Sync barrier). A subscriber that
-// sends its goodbye receives a final goodbye back once its filter has
-// left the live group, so a departure can be awaited.
+// receives transmission frames (u64 log offset + wire transmission
+// encoding: destination labels + tuple) and heartbeats. Goodbye announces
+// a graceful end of stream in either direction. A source may interleave
+// ping frames: the server answers each with a pong once every earlier
+// tuple has been submitted to the shard runtime (the Sync barrier). A
+// subscriber that sends its goodbye receives a final goodbye back once
+// its filter has left the live group, so a departure can be awaited.
 package server
 
 import (
@@ -52,8 +53,11 @@ const (
 	FrameError byte = 4
 	// FrameTuple carries one wire-encoded tuple (source -> server).
 	FrameTuple byte = 5
-	// FrameTransmission carries one wire-encoded labeled transmission
-	// (server -> subscriber).
+	// FrameTransmission carries one labeled transmission (server ->
+	// subscriber): its u64 little-endian log offset, then its wire
+	// encoding. The offset is the transmission's position in the
+	// source's durable log — the checkpoint a resume continues after —
+	// and 0 on a server without one.
 	FrameTransmission byte = 6
 	// FrameHeartbeat is an empty liveness frame.
 	FrameHeartbeat byte = 7
@@ -72,12 +76,6 @@ const (
 	FramePing byte = 9
 	// FramePong answers a FramePing with the same payload.
 	FramePong byte = 10
-	// FrameTransmissionOff carries one labeled transmission prefixed
-	// with its u64 little-endian durable log offset (server ->
-	// subscriber). A durable server sends all transmissions in this
-	// form so every delivery names the checkpoint to resume after;
-	// non-durable servers keep the offset-less FrameTransmission.
-	FrameTransmissionOff byte = 11
 	// FrameQoS announces a quality-of-service change to a subscriber
 	// (server -> subscriber) under the degrade slow-consumer policy: the
 	// payload is the u64 little-endian bit pattern of the float64
@@ -96,23 +94,20 @@ const goodbyeDrainTag = "drain"
 var goodbyeDrainPayload = []byte(goodbyeDrainTag)
 
 // SubProtoVersion is the subscriber protocol version this package
-// speaks. Version 2 (the durability bump) adds the trailing
-// version/resume fields to the subscriber hello and the offset-bearing
-// FrameTransmissionOff delivery frame. A version-1 hello (no trailer)
-// is still decoded, but a durable server rejects it: its encode-once
-// fan-out produces only offset-bearing frames, which a v1 client would
-// not understand.
-const SubProtoVersion = 2
+// speaks, and the only one it accepts: every client is built from this
+// tree, so a hello from any other version is rejected by name rather
+// than read with a layout it does not share. Features a session opts
+// into are bits of the hello's flags byte, not versions.
+const SubProtoVersion = 4
 
-// SubProtoVersionRelay is the subscriber protocol version spoken by an
-// edge node's upstream legs (the federation bump): it appends a relay
-// section to the version-2 hello naming the edge the leg belongs to, so
-// the core can account and introspect relay sessions separately from
-// direct subscribers. Everything after the handshake is unchanged — a
-// relay leg receives the exact transmission stream a direct subscriber
-// with the same app and spec would, which is what makes cross-node
-// fan-out byte-identical to the single-node run.
-const SubProtoVersionRelay = 3
+// Subscriber hello flags.
+const (
+	// subFlagResume: a u64 resume offset follows the flags.
+	subFlagResume byte = 1 << iota
+	// subFlagRelay: the hello opens an edge node's upstream leg; the
+	// edge's name follows the resume offset (if any).
+	subFlagRelay
+)
 
 // MaxFramePayload bounds a frame payload; larger frames are rejected as
 // malformed (a tuple of 65535 float64 values is ~512KiB).
@@ -275,91 +270,56 @@ func DecodeSourceHello(data []byte) (name string, schema *tuple.Schema, err erro
 	return name, schema, nil
 }
 
-// SubHello is a decoded subscriber hello. Version 1 payloads carry
-// app, source, spec and queue; version 2 appends the protocol version
-// and an optional resume point; version 3 appends a relay section
-// identifying an edge node's upstream leg. Resume distinguishes "no
-// resume" from "resume from offset 0".
+// SubHello is a subscriber hello. Resume distinguishes "no resume"
+// from "resume from offset 0". A non-empty RelayEdge marks an edge
+// node's upstream leg and names the edge it belongs to; the App and Spec
+// of such a leg are the real group identity of the local subscribers it
+// serves, so the core derives exactly the membership a single node
+// would, and the destination labels inside every transmission stay
+// byte-identical across topologies.
 type SubHello struct {
 	App, Source, Spec string
-	Queue             int
-	Version           int
-	Resume            bool
-	ResumeFrom        uint64
-	Relay             bool
-	RelayEdge         string
+	// Queue requests a server-side send-queue depth; 0 accepts the
+	// server default.
+	Queue      int
+	Resume     bool
+	ResumeFrom uint64
+	RelayEdge  string
 }
 
-// EncodeSubHello encodes a subscriber hello payload with no resume
-// request. queue requests a per-subscriber send-queue depth; 0 accepts
-// the server default.
-func EncodeSubHello(app, source, spec string, queue int) ([]byte, error) {
-	return EncodeSubHelloResume(app, source, spec, queue, false, 0)
-}
-
-// EncodeSubHelloResume encodes a subscriber hello payload, optionally
-// requesting replay of the source's durable log from a record offset.
-// The version/resume fields trail the version-1 payload, so old servers
-// that ignore trailing bytes would misparse them — which is why the
-// hello always carries an explicit version for the server to check.
-func EncodeSubHelloResume(app, source, spec string, queue int, resume bool, from uint64) ([]byte, error) {
-	if app == "" || source == "" || spec == "" {
+// EncodeSubHello encodes a subscriber hello payload.
+func EncodeSubHello(h SubHello) ([]byte, error) {
+	if h.App == "" || h.Source == "" || h.Spec == "" {
 		return nil, fmt.Errorf("server: subscriber hello needs app, source and spec")
 	}
-	if queue < 0 {
-		return nil, fmt.Errorf("server: negative queue depth %d", queue)
+	if h.Queue < 0 {
+		return nil, fmt.Errorf("server: negative queue depth %d", h.Queue)
 	}
-	buf := appendString(nil, app)
-	buf = appendString(buf, source)
-	buf = appendString(buf, spec)
-	buf = binary.AppendUvarint(buf, uint64(queue))
+	var flags byte
+	if h.Resume {
+		flags |= subFlagResume
+	}
+	if h.RelayEdge != "" {
+		flags |= subFlagRelay
+	}
+	buf := appendString(nil, h.App)
+	buf = appendString(buf, h.Source)
+	buf = appendString(buf, h.Spec)
+	buf = binary.AppendUvarint(buf, uint64(h.Queue))
 	buf = binary.AppendUvarint(buf, SubProtoVersion)
-	if resume {
-		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint64(buf, from)
-	} else {
-		buf = append(buf, 0)
+	buf = append(buf, flags)
+	if h.Resume {
+		buf = binary.LittleEndian.AppendUint64(buf, h.ResumeFrom)
+	}
+	if h.RelayEdge != "" {
+		buf = appendString(buf, h.RelayEdge)
 	}
 	return buf, nil
 }
 
-// EncodeSubHelloRelay encodes the version-3 subscriber hello an edge
-// node opens an upstream leg with: the version-2 resume form plus a
-// relay section naming the edge. The app and spec are the REAL group
-// identity of the local subscribers the leg serves — never a synthetic
-// relay name — so the core derives exactly the membership a single-node
-// deployment would, and the destination labels inside every
-// transmission stay byte-identical across topologies.
-func EncodeSubHelloRelay(app, source, spec string, queue int, resume bool, from uint64, edge string) ([]byte, error) {
-	if edge == "" {
-		return nil, fmt.Errorf("server: relay hello needs an edge name")
-	}
-	if app == "" || source == "" || spec == "" {
-		return nil, fmt.Errorf("server: subscriber hello needs app, source and spec")
-	}
-	if queue < 0 {
-		return nil, fmt.Errorf("server: negative queue depth %d", queue)
-	}
-	buf := appendString(nil, app)
-	buf = appendString(buf, source)
-	buf = appendString(buf, spec)
-	buf = binary.AppendUvarint(buf, uint64(queue))
-	buf = binary.AppendUvarint(buf, SubProtoVersionRelay)
-	if resume {
-		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint64(buf, from)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = append(buf, 1)
-	buf = appendString(buf, edge)
-	return buf, nil
-}
-
-// DecodeSubHello decodes a subscriber hello payload of any protocol
-// version up to SubProtoVersionRelay: a payload ending right after the
-// queue depth is version 1. A later version is rejected, not read with
-// the version-3 layout.
+// DecodeSubHello decodes a subscriber hello payload. A hello of any
+// other protocol version than SubProtoVersion is rejected with both
+// versions named.
 func DecodeSubHello(data []byte) (h SubHello, err error) {
 	app, n, err := readString(data)
 	if err != nil {
@@ -382,57 +342,41 @@ func DecodeSubHello(data []byte) (h SubHello, err error) {
 	if app == "" || source == "" || spec == "" {
 		return SubHello{}, fmt.Errorf("server: subscriber hello needs app, source and spec")
 	}
-	h = SubHello{App: app, Source: source, Spec: spec, Queue: int(q), Version: 1}
-	if len(rest) == 0 {
-		return h, nil
-	}
 	v, vn := binary.Uvarint(rest)
-	if vn <= 0 || v < 2 {
-		return SubHello{}, fmt.Errorf("server: bad protocol version in subscriber hello")
+	if vn <= 0 {
+		return SubHello{}, fmt.Errorf("server: subscriber hello carries no protocol version (this server speaks %d)", SubProtoVersion)
 	}
-	if v > SubProtoVersionRelay {
-		return SubHello{}, fmt.Errorf("server: subscriber hello speaks protocol version %d, newer than this server's %d", v, SubProtoVersionRelay)
+	if v != SubProtoVersion {
+		return SubHello{}, fmt.Errorf("server: subscriber hello speaks protocol version %d, this server speaks %d", v, SubProtoVersion)
 	}
 	rest = rest[vn:]
-	h.Version = int(v)
 	if len(rest) < 1 {
-		return SubHello{}, fmt.Errorf("server: truncated resume flag in subscriber hello")
+		return SubHello{}, fmt.Errorf("server: truncated flags in subscriber hello")
 	}
-	flag := rest[0]
+	flags := rest[0]
 	rest = rest[1:]
-	switch flag {
-	case 0:
-	case 1:
+	if flags&^(subFlagResume|subFlagRelay) != 0 {
+		return SubHello{}, fmt.Errorf("server: unknown flags %#x in subscriber hello", flags)
+	}
+	h = SubHello{App: app, Source: source, Spec: spec, Queue: int(q)}
+	if flags&subFlagResume != 0 {
 		if len(rest) < 8 {
 			return SubHello{}, fmt.Errorf("server: truncated resume offset in subscriber hello")
 		}
 		h.Resume = true
 		h.ResumeFrom = binary.LittleEndian.Uint64(rest)
 		rest = rest[8:]
-	default:
-		return SubHello{}, fmt.Errorf("server: bad resume flag in subscriber hello")
 	}
-	if h.Version >= SubProtoVersionRelay {
-		if len(rest) < 1 {
-			return SubHello{}, fmt.Errorf("server: truncated relay flag in subscriber hello")
+	if flags&subFlagRelay != 0 {
+		edge, en, err := readString(rest)
+		if err != nil {
+			return SubHello{}, fmt.Errorf("server: relay edge name: %w", err)
 		}
-		flag := rest[0]
-		rest = rest[1:]
-		switch flag {
-		case 0:
-		case 1:
-			edge, en, err := readString(rest)
-			if err != nil {
-				return SubHello{}, fmt.Errorf("server: relay edge name: %w", err)
-			}
-			if edge == "" {
-				return SubHello{}, fmt.Errorf("server: empty relay edge name in subscriber hello")
-			}
-			h.Relay, h.RelayEdge = true, edge
-			rest = rest[en:]
-		default:
-			return SubHello{}, fmt.Errorf("server: bad relay flag in subscriber hello")
+		if edge == "" {
+			return SubHello{}, fmt.Errorf("server: empty relay edge name in subscriber hello")
 		}
+		h.RelayEdge = edge
+		rest = rest[en:]
 	}
 	if len(rest) != 0 {
 		return SubHello{}, fmt.Errorf("server: trailing bytes in subscriber hello")

@@ -117,11 +117,13 @@ type relayLeg struct {
 	// name positions in per-core logs and do not transfer).
 	coreName string
 
-	// Resume state, written by the run loop per offset-bearing frame and
-	// read by introspection, hence atomic.
+	// Resume state, written by the run loop per transmission frame and
+	// read by introspection, hence atomic. seenOffset marks a checkpoint
+	// taken since the leg last joined live; against a non-durable core
+	// every offset is 0 and the resume it asks for is refused, which
+	// clears it.
 	lastOffset atomic.Uint64
 	seenOffset atomic.Bool
-	durable    atomic.Bool
 }
 
 // errLegClosing reports an upstream leg torn down mid-operation.
@@ -301,8 +303,8 @@ func (leg *relayLeg) dialFirst() error {
 
 // dialUpstream performs one relay handshake against a core.
 func (leg *relayLeg) dialUpstream(core federate.Node, resume bool) (net.Conn, []byte, error) {
-	hello, err := EncodeSubHelloRelay(leg.key.app, leg.key.source, leg.key.spec,
-		leg.queue, resume, leg.lastOffset.Load()+1, leg.mgr.self)
+	hello, err := EncodeSubHello(SubHello{App: leg.key.app, Source: leg.key.source, Spec: leg.key.spec,
+		Queue: leg.queue, Resume: resume, ResumeFrom: leg.lastOffset.Load() + 1, RelayEdge: leg.mgr.self})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -317,12 +319,12 @@ const (
 )
 
 // run is the leg's read loop: it decodes nothing it does not have to,
-// reconstructs each transmission frame byte-identically (same kind,
-// same payload — offsets included), and fans it out to every local
-// member through the refcounted frame free list. On a drain goodbye or a
-// connection error it redials with backoff, resuming a durable
-// upstream from lastOffset+1 so members ride through core restarts and
-// partitions without a gap or a duplicate.
+// reconstructs each transmission frame byte-identically (offset
+// included), and fans it out to every local member through the
+// refcounted frame free list. On a drain goodbye or a connection error it
+// redials with backoff, resuming a durable upstream from lastOffset+1 so
+// members ride through core restarts and partitions without a gap or a
+// duplicate.
 func (leg *relayLeg) run() {
 	defer leg.mgr.s.connWG.Done()
 	defer close(leg.done)
@@ -377,22 +379,18 @@ func (leg *relayLeg) readStream(conn net.Conn) int {
 			return relayRedial
 		}
 		buf = b
-		if kind != FrameTransmission && kind != FrameTransmissionOff {
+		if kind != FrameTransmission {
 			run = leg.fanout(run)
 		}
 		switch kind {
-		case FrameTransmission, FrameTransmissionOff:
-			payload := buf
-			if kind == FrameTransmissionOff {
-				if len(payload) < 8 {
-					leg.fanout(run)
-					return relayRedial
-				}
-				leg.lastOffset.Store(binary.LittleEndian.Uint64(payload))
-				leg.seenOffset.Store(true)
-				leg.durable.Store(true)
-				payload = payload[8:]
+		case FrameTransmission:
+			if len(buf) < 8 {
+				leg.fanout(run)
+				return relayRedial
 			}
+			leg.lastOffset.Store(binary.LittleEndian.Uint64(buf))
+			leg.seenOffset.Store(true)
+			payload := buf[8:]
 			leg.mgr.s.ctr.fedRelayFrames.Add(1)
 			fr := stash.get(runMax-len(run), frameHeaderLen+len(buf))
 			fr.buf = endFrame(append(beginFrame(fr.buf, kind), buf...))
@@ -519,9 +517,8 @@ func (leg *relayLeg) redial() bool {
 			// rebalance protocol quiesces publishers across the move, so
 			// the live rejoin loses nothing.
 			leg.seenOffset.Store(false)
-			leg.durable.Store(false)
 		}
-		resume := leg.durable.Load() && leg.seenOffset.Load()
+		resume := leg.seenOffset.Load()
 		conn, payload, err := leg.dialUpstream(core, resume)
 		if err == nil {
 			if schema, derr := DecodeSchema(payload); derr == nil {
@@ -547,7 +544,6 @@ func (leg *relayLeg) redial() bool {
 			// The core came back without its log (or without durability);
 			// a live rejoin is the best remaining contract.
 			leg.seenOffset.Store(false)
-			leg.durable.Store(false)
 			continue
 		}
 		select {
@@ -615,7 +611,7 @@ func (m *relayMgr) counts() (legs, members int) {
 // edge from a single-node broker.
 func (s *Server) serveEdgeSubscriber(sub *subscriber, h SubHello, spec quality.Spec) {
 	conn := sub.conn
-	if h.Relay {
+	if h.RelayEdge != "" {
 		s.reject(conn, fmt.Errorf("edge node cannot serve a relay leg (relay hellos go to cores)"))
 		return
 	}

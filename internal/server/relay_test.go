@@ -11,84 +11,55 @@ import (
 	"gasf/internal/federate"
 )
 
-// TestSubHelloRelayVersion pins the version-3 relay handshake: the relay
-// section round-trips exactly, version-2 hellos keep decoding with no
-// relay fields, and malformed relay sections are rejected rather than
-// misread.
+// TestSubHelloRelayVersion pins the relay flag of the handshake: the
+// edge name round-trips with and without a resume offset, an encoder
+// never sets the flag without a name, and malformed relay sections are
+// rejected rather than misread.
 func TestSubHelloRelayVersion(t *testing.T) {
-	enc, err := EncodeSubHelloRelay("app", "src", "DC1(v, 0.5, 0)", 7, true, 42, "edge-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := DecodeSubHello(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Version != SubProtoVersionRelay || !h.Relay || h.RelayEdge != "edge-1" {
-		t.Fatalf("relay decode: %+v", h)
-	}
-	if !h.Resume || h.ResumeFrom != 42 || h.App != "app" || h.Source != "src" || h.Queue != 7 {
-		t.Fatalf("relay decode lost v2 fields: %+v", h)
-	}
-
-	// The non-resume form still carries the relay section.
-	enc, err = EncodeSubHelloRelay("app", "src", "DC1(v, 0.5, 0)", 0, false, 0, "edge-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err = DecodeSubHello(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Resume || !h.Relay || h.RelayEdge != "edge-2" {
-		t.Fatalf("non-resume relay decode: %+v", h)
+	const spec = "DC1(v, 0.5, 0)"
+	for _, want := range []SubHello{
+		{App: "app", Source: "src", Spec: spec, Queue: 7, Resume: true, ResumeFrom: 42, RelayEdge: "edge-1"},
+		{App: "app", Source: "src", Spec: spec, RelayEdge: "edge-2"},
+	} {
+		enc, err := EncodeSubHello(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := DecodeSubHello(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != want {
+			t.Fatalf("relay round trip: got %+v, want %+v", h, want)
+		}
 	}
 
-	// A version-2 hello decodes with the relay fields zero.
-	v2, err := EncodeSubHelloResume("app", "src", "DC1(v, 0.5, 0)", 7, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err = DecodeSubHello(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Relay || h.RelayEdge != "" || h.Version != SubProtoVersion {
-		t.Fatalf("v2 decode grew relay fields: %+v", h)
-	}
-
-	// Encode-time rejection: a relay hello must name its edge.
-	if _, err := EncodeSubHelloRelay("app", "src", "DC1(v, 0.5, 0)", 0, false, 0, ""); err == nil {
-		t.Fatal("empty edge name accepted at encode")
-	}
-
-	// Decode-time rejections: trailing junk, a bad relay flag, and a
+	// Decode-time rejections: trailing junk, an empty edge name, and a
 	// relay flag with no edge name behind it.
-	good, err := EncodeSubHelloRelay("app", "src", "DC1(v, 0.5, 0)", 0, false, 0, "e")
+	good, err := EncodeSubHello(SubHello{App: "app", Source: "src", Spec: spec, RelayEdge: "e"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DecodeSubHello(append(append([]byte(nil), good...), 0xFF)); err == nil {
 		t.Fatal("trailing junk accepted")
 	}
-	bad := append([]byte(nil), good...)
-	bad[len(bad)-3] = 2 // relay flag precedes the uvarint(1)+1-byte edge name
-	if _, err := DecodeSubHello(bad); err == nil {
-		t.Fatal("bad relay flag accepted")
+	empty := append(append([]byte(nil), good[:len(good)-2]...), 0)
+	if _, err := DecodeSubHello(empty); err == nil {
+		t.Fatal("empty relay edge name accepted")
 	}
 	if _, err := DecodeSubHello(good[:len(good)-2]); err == nil {
-		t.Fatal("truncated relay edge name accepted")
+		t.Fatal("relay flag without an edge name accepted")
 	}
 
 	// A version this server does not speak is rejected by name, not read
-	// with the version-3 layout it happens to share.
+	// with the layout it happens to share.
 	future := append([]byte(nil), good...)
-	future[len(future)-5] = 7 // version precedes resume flag, relay flag, uvarint(1) and the name
+	future[len(future)-4] = 7 // version precedes the flags, uvarint(1) and the name
 	_, err = DecodeSubHello(future)
 	if err == nil {
 		t.Fatal("version-7 hello accepted")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "7") || !strings.Contains(msg, fmt.Sprint(SubProtoVersionRelay)) {
+	if msg := err.Error(); !strings.Contains(msg, "7") || !strings.Contains(msg, fmt.Sprint(SubProtoVersion)) {
 		t.Fatalf("version error does not name both versions: %v", err)
 	}
 }

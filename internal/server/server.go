@@ -819,24 +819,15 @@ func (s *Server) serveSubscriber(conn net.Conn, hello []byte) {
 		s.serveEdgeSubscriber(sub, h, spec)
 		return
 	}
-	if s.core.Log() != nil && h.Version < 2 {
-		// A durable server's encode-once fan-out produces only
-		// offset-bearing transmission frames; a protocol-1 client would
-		// not understand them, so the handshake is the place to fail.
-		s.reject(conn, fmt.Errorf("durable server requires subscriber protocol version %d (client speaks %d)", SubProtoVersion, h.Version))
-		return
-	}
 	sub.m.Resume, sub.m.ResumeFrom = h.Resume, h.ResumeFrom
-	if h.Relay {
-		// An edge's upstream leg: the same session in every way, but
-		// tagged with the edge it fans out on for metrics and debug.
-		sub.relayEdge = h.RelayEdge
-	}
+	// An edge's upstream leg is the same session in every way, but tagged
+	// with the edge it fans out on for metrics and debug.
+	sub.relayEdge = h.RelayEdge
 	if err := s.core.Join(context.Background(), sub.m, spec); err != nil {
 		s.reject(conn, err)
 		return
 	}
-	if h.Relay {
+	if h.RelayEdge != "" {
 		s.ctr.fedRelayLegsIn.Add(1)
 	}
 	schemaPayload, err := EncodeSchema(sub.m.Schema)
@@ -922,16 +913,8 @@ func (s *Server) sink(batch []shard.Out) {
 		}
 		owner := src.Owner.(*sourceSession)
 		fr := sc.frames.get(len(batch)-i, owner.frameSize)
-		kind := FrameTransmission
-		if durable {
-			kind = FrameTransmissionOff
-		}
-		buf := beginFrame(fr.buf, kind)
-		payloadStart := len(buf)
-		if durable {
-			// Offset placeholder, patched after the append assigns it.
-			buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-		}
+		// The offset stays 0 unless the log append below assigns one.
+		buf := append(beginFrame(fr.buf, FrameTransmission), 0, 0, 0, 0, 0, 0, 0, 0)
 		buf, err := src.Enc.AppendTransmission(buf, src.Epoch, o.Tr.Tuple, src.Labels)
 		if err != nil {
 			fr.buf = fr.buf[:0]
@@ -945,12 +928,12 @@ func (s *Server) sink(batch []shard.Out) {
 		if durable {
 			// The durable record is the exact transmission fanned out to
 			// the live targets, appended before any queue sees the frame.
-			off, err := s.core.AppendLog(o.Source, fr.buf[payloadStart+8:])
+			off, err := s.core.AppendLog(o.Source, fr.buf[frameHeaderLen+8:])
 			if err != nil {
 				// Recovery truncates whatever half-record the error left.
 				s.lg.Error("segment log append", "source", o.Source, "err", err)
 			}
-			binary.LittleEndian.PutUint64(fr.buf[payloadStart:], off)
+			binary.LittleEndian.PutUint64(fr.buf[frameHeaderLen:], off)
 		}
 		// The tuple's source timestamp rides on the frame so egress can
 		// turn the write instant into an end-to-end delivery latency.

@@ -426,11 +426,11 @@ func TestSlowConsumerDrop(t *testing.T) {
 	}
 	// The fast subscriber's queue holds the whole stream, so it can
 	// never drop; the slow one's 4-slot queue overflows immediately.
-	fast, err := DialSubscriberBuffered(addr, "fast", "src", "DC1(a0, 0.5, 0)", n+16)
+	fast, err := DialSubscriberOpts(addr, "fast", "src", "DC1(a0, 0.5, 0)", SubDialOpts{Queue: n + 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := DialSubscriberBuffered(addr, "slow", "src", "DC1(a0, 0.5, 0)", 4)
+	slow, err := DialSubscriberOpts(addr, "slow", "src", "DC1(a0, 0.5, 0)", SubDialOpts{Queue: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

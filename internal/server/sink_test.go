@@ -121,15 +121,16 @@ func getBatch(size int) *frameBatch {
 // decodeFrame decodes a transmission frame into tuple and destinations.
 func decodeFrame(t *testing.T, fx *sinkFixture, fr *frame) (*tuple.Tuple, []string) {
 	t.Helper()
-	if len(fr.buf) < frameHeaderLen || fr.buf[0] != FrameTransmission {
+	const start = frameHeaderLen + 8 // the offset precedes the transmission
+	if len(fr.buf) < start || fr.buf[0] != FrameTransmission {
 		t.Fatalf("bad frame: %v", fr.buf)
 	}
-	tp, dests, n, err := wire.DecodeTransmission(fx.schema, fr.buf[frameHeaderLen:])
+	tp, dests, n, err := wire.DecodeTransmission(fx.schema, fr.buf[start:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(fr.buf)-frameHeaderLen {
-		t.Fatalf("frame carries %d trailing bytes", len(fr.buf)-frameHeaderLen-n)
+	if n != len(fr.buf)-start {
+		t.Fatalf("frame carries %d trailing bytes", len(fr.buf)-start-n)
 	}
 	return tp, dests
 }
@@ -173,7 +174,7 @@ func TestSinkEncodesOnlyLiveLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(fr.buf) - frameHeaderLen; got != len(want) {
+	if got := len(fr.buf) - frameHeaderLen - 8; got != len(want) {
 		t.Fatalf("frame payload %d bytes, want %d (single live label)", got, len(want))
 	}
 	if len(fr.buf) >= bothLen {

@@ -12,7 +12,6 @@ import (
 
 	"gasf/internal/session"
 	"gasf/internal/telemetry"
-	"gasf/internal/wire"
 )
 
 // subWriteBatchBytes bounds how many frame bytes one egress cycle
@@ -211,7 +210,7 @@ func (sub *subscriber) writeLoop() {
 		// (they all carry offsets at or above the fence) and drain below in
 		// order, so the client sees one seamless, gapless stream.
 		if err := sub.replay(); err != nil {
-			if errors.Is(err, errReplayAborted) {
+			if errors.Is(err, session.ErrReplayAborted) {
 				sub.departed()
 			} else {
 				sub.s.lg.Warn("replay failed", "source", m.Source, "app", m.App, "err", err)
@@ -321,39 +320,46 @@ func (sub *subscriber) departed() {
 	sub.conn.Close()
 }
 
-// errReplayAborted marks a replay cut short by the subscriber's own
-// departure — an orderly exit, not a failure.
-var errReplayAborted = errors.New("server: replay aborted by departure")
-
-// replay streams the records of [resumeFrom, spliceTo) addressed to
-// this app from the durable log, each as an offset-bearing transmission
-// frame. The log holds exactly the bytes the live fan-out delivered, so
-// the replayed stream is byte-identical to what the app would have
-// received live; records not naming the app (delivered while it was
-// away, to others) are skipped without decoding their tuples.
+// replay streams the member's history (session.Core.Replay) as
+// transmission frames carrying their log offsets. The log holds exactly
+// the bytes the live fan-out delivered, so the replayed stream is
+// byte-identical to what the app would have received live. Frames are
+// coalesced in one reused buffer and written at most subWriteBatchBytes
+// at a time, each write under one deadline.
 func (sub *subscriber) replay() error {
-	var buf []byte
-	m := sub.m
-	err := sub.s.core.Log().Read(m.Source, m.ResumeFrom, m.SpliceTo, func(off uint64, payload []byte) error {
-		if m.Departed() {
-			return errReplayAborted
-		}
-		if !wire.TransmissionHasDestination(payload, m.App) {
+	var (
+		buf     []byte
+		pending uint64 // records staged in buf
+	)
+	flush := func() error {
+		if len(buf) == 0 {
 			return nil
 		}
-		buf = beginFrame(buf[:0], FrameTransmissionOff)
-		buf = binary.LittleEndian.AppendUint64(buf, off)
-		buf = append(buf, payload...)
-		buf = endFrame(buf)
 		sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
 		n, err := sub.conn.Write(buf)
 		sub.s.ctr.bytesOut.Add(uint64(n))
-		if err != nil {
-			return err
+		if err == nil {
+			sub.s.ctr.replayRecordsOut.Add(pending)
 		}
-		sub.s.ctr.replayRecordsOut.Add(1)
+		buf, pending = buf[:0], 0
+		return err
+	}
+	err := sub.s.core.Replay(sub.m, func(off uint64, payload []byte) error {
+		if len(buf)+frameHeaderLen+8+len(payload) > subWriteBatchBytes {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		buf = append(buf, FrameTransmission)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(8+len(payload)))
+		buf = binary.LittleEndian.AppendUint64(buf, off)
+		buf = append(buf, payload...)
+		pending++
 		return nil
 	})
+	if err == nil {
+		err = flush()
+	}
 	if err == nil {
 		sub.s.ctr.replaysServed.Add(1)
 	}

@@ -282,8 +282,8 @@ func (c *Core[T]) Runtime() *shard.Runtime { return c.rt }
 // Telemetry is the stage-timing and latency pipeline (nil when disabled).
 func (c *Core[T]) Telemetry() *telemetry.Pipeline { return c.tel }
 
-// Log is the durable log (nil unless Config.DataDir was set). Adapters
-// read it for replay; appends go through AppendLog.
+// Log is the durable log (nil unless Config.DataDir was set). Appends go
+// through AppendLog, a member's history through Replay.
 func (c *Core[T]) Log() *seglog.Log { return c.log }
 
 // Wheel is the flow-gap wheel (nil unless Config.SourceTimeout enabled

@@ -558,3 +558,85 @@ func TestParsePolicy(t *testing.T) {
 		t.Error("unknown policy accepted")
 	}
 }
+
+// TestReplay pins the one replay loop: it reads exactly [ResumeFrom,
+// SpliceTo), hands out only the records whose labels name the member —
+// tested before any decode, so a body that does not decode is never
+// touched — passes the payload bytes through unchanged, propagates emit's
+// error, and stops with ErrReplayAborted once the member departs.
+func TestReplay(t *testing.T) {
+	h := newHarness(t, Config{DataDir: t.TempDir()})
+	record := func(labels ...string) []byte {
+		tp := tuple.MustNew(schema, 0, trace.Epoch, []float64{1})
+		b, err := wire.AppendTransmission(nil, tp, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	log := [][]byte{
+		record("a"),
+		record("b"),
+		record("a", "b"),
+		{1, 1, 'b', 0xFF}, // names b only; the tuple body is cut short
+		record("a"),
+		record("a"),
+	}
+	for i, rec := range log {
+		if off, err := h.c.AppendLog("s", rec); err != nil || off != uint64(i) {
+			t.Fatalf("append %d: offset %d, %v", i, off, err)
+		}
+	}
+	member := func(app string, from, to uint64) *Member[item] {
+		m := h.c.NewMember(app, "s", 0, &fakePeer{})
+		m.Resume, m.ResumeFrom, m.SpliceTo = true, from, to
+		return m
+	}
+	replay := func(m *Member[item]) []uint64 {
+		var offs []uint64
+		err := h.c.Replay(m, func(off uint64, payload []byte) error {
+			if string(payload) != string(log[off]) {
+				t.Errorf("offset %d: payload %x, want %x", off, payload, log[off])
+			}
+			offs = append(offs, off)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("replay %s [%d, %d): %v", m.App, m.ResumeFrom, m.SpliceTo, err)
+		}
+		return offs
+	}
+	for _, c := range []struct {
+		app      string
+		from, to uint64
+		want     string
+	}{
+		{"a", 0, 6, "[0 2 4 5]"},
+		{"a", 1, 5, "[2 4]"},
+		{"b", 0, 6, "[1 2 3]"},
+		{"b", 2, 3, "[2]"},
+		{"a", 3, 3, "[]"},
+		{"c", 0, 6, "[]"},
+		{"a", 4, 100, "[4 5]"}, // the fence clamps to the log head
+	} {
+		if got := fmt.Sprint(replay(member(c.app, c.from, c.to))); got != c.want {
+			t.Errorf("replay %s [%d, %d) = %s, want %s", c.app, c.from, c.to, got, c.want)
+		}
+	}
+
+	stop := errors.New("stop")
+	if err := h.c.Replay(member("a", 0, 6), func(uint64, []byte) error { return stop }); err != stop {
+		t.Fatalf("emit's error: replay returned %v", err)
+	}
+
+	m := member("a", 0, 6)
+	n := 0
+	err := h.c.Replay(m, func(uint64, []byte) error {
+		n++
+		m.depart()
+		return nil
+	})
+	if !errors.Is(err, ErrReplayAborted) || n != 1 {
+		t.Fatalf("departure mid-replay: %d emitted, err %v; want 1, ErrReplayAborted", n, err)
+	}
+}

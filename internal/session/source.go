@@ -181,3 +181,26 @@ func (c *Core[T]) AppendLog(source string, payload []byte) (uint64, error) {
 	}
 	return off, nil
 }
+
+// ErrReplayAborted reports a replay cut short by the member's own
+// departure — an orderly exit, not a failure.
+var ErrReplayAborted = errors.New("replay aborted by departure")
+
+// Replay streams a resuming member's history: the log records of
+// [m.ResumeFrom, m.SpliceTo) whose destination labels name m.App, in
+// offset order, each handed to emit with its offset. Records addressed
+// only to other applications (delivered while this one was away) are
+// skipped on their label prefix, before any decode. The payload is valid
+// only for the duration of the call. Replay returns ErrReplayAborted once
+// m has departed, emit's first error, or the log's read error.
+func (c *Core[T]) Replay(m *Member[T], emit func(off uint64, payload []byte) error) error {
+	return c.log.Read(m.Source, m.ResumeFrom, m.SpliceTo, func(off uint64, payload []byte) error {
+		if m.Departed() {
+			return ErrReplayAborted
+		}
+		if !wire.TransmissionHasDestination(payload, m.App) {
+			return nil
+		}
+		return emit(off, payload)
+	})
+}
