@@ -19,7 +19,7 @@ import (
 // group12Specs is the mixed 12-filter group of the engine's step gate and
 // of the embedded_group benchmark workload: DC1/DC2/DC3, stateful and
 // sampling filters over one NAMOS trace.
-func group12Specs(t *testing.T, n int) (*tuple.Series, []quality.Spec) {
+func group12Specs(t testing.TB, n int) (*tuple.Series, []quality.Spec) {
 	t.Helper()
 	sr, err := trace.NAMOS(trace.Config{N: n, Seed: 5000})
 	if err != nil {

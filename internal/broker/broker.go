@@ -57,7 +57,7 @@ var ErrEvicted = errors.New("broker: subscriber evicted")
 // Delivery is one transmission received by a subscription: the tuple,
 // the destination label list pruned to the subscribers that were live at
 // release time (this subscription is one of them), and the receive
-// instant stamped by Recv.
+// instant.
 type Delivery struct {
 	Tuple *tuple.Tuple
 	// Destinations is read-only and may be shared: on the embedded
@@ -67,7 +67,10 @@ type Delivery struct {
 	// RecvInto rewrites the caller's slice with the session's interned
 	// label strings.
 	Destinations []string
-	ReceivedAt   time.Time
+	// ReceivedAt is stamped by Recv or RecvInto when the consumer takes the
+	// delivery, one clock read per receive; it is not the enqueue instant
+	// the broker's delivery-latency telemetry observes.
+	ReceivedAt time.Time
 	// Offset is the delivery's position in the source's durable log when
 	// the broker runs with Config.DataDir (0 otherwise, and 0 for the log's
 	// first record) — the same number the networked transport carries in
@@ -433,17 +436,26 @@ func (s *Sub) RecvInto(ctx context.Context, d *Delivery) error {
 			return ctx.Err()
 		}
 	}
+	// The common case costs two non-blocking checks: a departure first,
+	// so a member whose departure is visible never receives again, then
+	// the queue. Only an empty queue waits on every channel at once.
+	if s.m.Departed() {
+		return s.endErr()
+	}
 	select {
 	case dv := <-s.m.Queue():
 		deliver(dv)
 		return nil
+	default:
+	}
+	var dv Delivery
+	select {
+	case dv = <-s.m.Queue():
 	case <-s.m.Fin():
-		// The stream has ended; drain what is still buffered before
-		// reporting the end.
+		// The stream has ended; what is still buffered drains before the
+		// end is reported.
 		select {
-		case dv := <-s.m.Queue():
-			deliver(dv)
-			return nil
+		case dv = <-s.m.Queue():
 		default:
 			return s.endErr()
 		}
@@ -452,6 +464,12 @@ func (s *Sub) RecvInto(ctx context.Context, d *Delivery) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+	// The departure may have closed while this call waited.
+	if s.m.Departed() {
+		return s.endErr()
+	}
+	deliver(dv)
+	return nil
 }
 
 // endErr reports why the stream ended: a wrapped ErrEvicted when the
@@ -477,9 +495,14 @@ func (s *Sub) Close(ctx context.Context) error { return s.b.core.Leave(ctx, s.m)
 func (b *Broker) sink(batch []shard.Out) {
 	c := b.core
 	tel := c.Telemetry()
-	var fanStart time.Time
-	if tel.Sample(telemetry.StageFanout) {
-		fanStart = time.Now()
+	// One clock read per call: every transmission of the batch is
+	// stamped with the instant its hand-off began.
+	var now, fanStart time.Time
+	if tel != nil {
+		now = time.Now()
+		if tel.Sample(telemetry.StageFanout) {
+			fanStart = now
+		}
 	}
 	for i := range batch {
 		o := &batch[i]
@@ -496,12 +519,11 @@ func (b *Broker) sink(batch []shard.Out) {
 			}
 		}
 		if tel != nil {
-			// The embedded delivery point is the queue hand-off: one
-			// clock read per transmission feeds the group and aggregate
-			// estimators; each target's session estimator sees the same
-			// instant (the enqueue loop below is non-blocking in the
-			// common case).
-			d := time.Since(o.Tr.Tuple.TS)
+			// The embedded delivery point is the queue hand-off; the
+			// group, aggregate and per-target session estimators all see
+			// the call's instant (the enqueue loop below is non-blocking
+			// in the common case).
+			d := now.Sub(o.Tr.Tuple.TS)
 			src.Lat.Observe(d)
 			for _, m := range src.Targets {
 				tel.ObserveDelivery(d)

@@ -62,7 +62,7 @@ func group12(tb testing.TB, n int, seed int64) (*tuple.Series, func() []filter.F
 // pending sets and multi-owner picks the DC1 trace never produces. What
 // a run may allocate is the growth of its result's slices, one destination
 // list per owner set it has not used before, and scratch growing to its
-// working size (measured: 0.13-0.15 per Step on DC1x3, 0.49-0.52 on
+// working size (measured: 0.12 per Step on DC1x3, 0.43 RG and 0.52 PS on
 // mixed12); a change that reintroduces per-step or per-transmission map,
 // list, set or scratch churn trips this long before it shows in
 // wall-clock benchmarks.

@@ -87,19 +87,19 @@ func (e *Engine) pickDests(sets []*filter.CandidateSet) []string {
 }
 
 // mergedDests returns the destination list of one transmission from the
-// outputs that share its tuple (run indexes outs). When every label is a
+// outputs that share its tuple. When every label is a
 // current member named once, that is the canonical list of their union.
 // Otherwise the transmission gets a list of its own, repeats included: a
 // filter that decided two sets on one tuple in the same release is
 // delivered it twice.
-func (e *Engine) mergedDests(outs []pendingOut, run []int) []string {
+func (e *Engine) mergedDests(run []pendingOut) []string {
 	var (
 		owners uint64
 		one    [1]string
 	)
 	n, exact := 0, true
-	for _, i := range run {
-		for _, d := range outs[i].labels(&one) {
+	for i := range run {
+		for _, d := range run[i].labels(&one) {
 			b := e.ownerBit(d)
 			exact = exact && b != 0 && owners&b == 0
 			owners |= b
@@ -112,8 +112,8 @@ func (e *Engine) mergedDests(outs []pendingOut, run []int) []string {
 		}
 	}
 	dests := make([]string, 0, n)
-	for _, i := range run {
-		dests = append(dests, outs[i].labels(&one)...)
+	for i := range run {
+		dests = append(dests, run[i].labels(&one)...)
 	}
 	slices.Sort(dests)
 	return dests

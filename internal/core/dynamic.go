@@ -29,8 +29,9 @@ func NewDynamicEngine(opts Options) (*Engine, error) {
 // released transmission with Released and needs no history — a broker
 // whose sink has already delivered it. The engine decides and releases
 // exactly what a retaining engine would and keeps the counters of Stats
-// exact, but holds on to nothing per transmission: Result().Transmissions,
-// Stats.Latencies and Result().Punctuations stay empty, so its memory
+// exact, but holds on to nothing per transmission: Result().Transmissions
+// and Result().Punctuations stay empty, and so does Stats.Latencies, which
+// a retaining engine derives from its transmissions in Finish. Its memory
 // follows the open regions, not the length of the stream.
 func NewDrainedEngine(opts Options) (*Engine, error) {
 	e, err := newEngine(nil, opts, true)

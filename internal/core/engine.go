@@ -99,16 +99,16 @@ type Engine struct {
 
 	// minsBuf backs openMins.
 	minsBuf []time.Time
-	// regionOuts stages one region's outputs during handleRegion.
-	regionOuts []pendingOut
+	// regionOuts stages one region's outputs during handleRegion, in
+	// sequence order; heldOuts holds the picks of its decided sets under
+	// EarliestRegion until decideRegion merges them in.
+	regionOuts, heldOuts []pendingOut
 	// greedyBuf is one region's greedy input; proxies are the stand-ins
 	// it points to for the region's already decided sets.
 	greedyBuf []*filter.CandidateSet
 	proxies   []filter.CandidateSet
 	// solver decides regions with reusable greedy state.
 	solver hitting.Solver
-	// relOrder backs mergeRelease's release order (see output.go).
-	relOrder []int
 }
 
 type chosenRec struct {
@@ -253,6 +253,9 @@ func (e *Engine) Finish() error {
 	e.releaseBatch()
 	e.finished = true
 	e.result.Stats.CPU += time.Since(start)
+	if !e.drain {
+		e.result.Stats.Latencies = latencies(e.result.Transmissions, e.result.Stats.Deliveries, e.opts.MulticastDelay)
+	}
 	return nil
 }
 
@@ -428,9 +431,9 @@ func (e *Engine) handleRegion(r *region.Region) error {
 
 	// Outputs of sets decided before the region closed were released at
 	// decision time, except under EarliestRegion, which holds them until
-	// now. outs is engine-owned scratch; its contents are copied on
-	// release.
-	outs := e.regionOuts[:0]
+	// now. The buffers are engine-owned scratch; their contents are copied
+	// on release.
+	held := e.heldOuts[:0]
 	decided := 0
 	for _, cs := range r.Sets {
 		if !cs.Decided {
@@ -439,17 +442,20 @@ func (e *Engine) handleRegion(r *region.Region) error {
 		decided++
 		if e.opts.Strategy == EarliestRegion {
 			for _, p := range cs.Picks {
-				outs = append(outs, pendingOut{t: p, dest: cs.Owner})
+				held = append(held, pendingOut{t: p, dest: cs.Owner})
 			}
 		}
 	}
+	sortPending(held)
 
 	// Undecided sets (RG stateless) are decided by the greedy hitting
 	// set; already-decided sets join as singleton proxies so sharing
 	// with their chosen tuples is considered (§2.3.3).
 	var err error
+	outs := held
 	if decided < len(r.Sets) {
-		outs, err = e.decideRegion(r, size, decided, outs)
+		outs, err = e.decideRegion(r, size, decided, held)
+		e.regionOuts = outs
 	}
 	if err == nil {
 		switch e.opts.Strategy {
@@ -467,14 +473,17 @@ func (e *Engine) handleRegion(r *region.Region) error {
 		}
 	}
 	clear(outs)
-	e.regionOuts = outs[:0]
+	clear(held)
+	e.regionOuts, e.heldOuts = e.regionOuts[:0], held[:0]
 	return err
 }
 
 // decideRegion runs the greedy hitting set over a region with undecided
-// sets and appends one output per pick that serves any of them. decided
-// is the number of already decided sets in the region.
-func (e *Engine) decideRegion(r *region.Region, size, decided int, outs []pendingOut) ([]pendingOut, error) {
+// sets and stages one output per pick that serves any of them, merged in
+// sequence order with held, the region's sorted decided outputs (which go
+// first among outputs of one tuple). decided is the number of already
+// decided sets in the region.
+func (e *Engine) decideRegion(r *region.Region, size, decided int, held []pendingOut) ([]pendingOut, error) {
 	// The proxies are sized first: the greedy input points into them.
 	if cap(e.proxies) < decided {
 		e.proxies = make([]filter.CandidateSet, decided)
@@ -494,8 +503,9 @@ func (e *Engine) decideRegion(r *region.Region, size, decided int, outs []pendin
 		}
 		greedySets = append(greedySets, cs)
 	}
+	outs := e.regionOuts[:0]
 	start := time.Now()
-	picks, err := e.solver.Greedy(greedySets, e.opts.Ties == PreferEarliest)
+	_, err := e.solver.Greedy(greedySets, e.opts.Ties == PreferEarliest)
 	elapsed := time.Since(start)
 	if err != nil {
 		err = fmt.Errorf("core: deciding region: %w", err)
@@ -509,13 +519,21 @@ func (e *Engine) decideRegion(r *region.Region, size, decided int, outs []pendin
 				}
 			}
 		}
-		for _, pk := range picks {
+		// The picks in arrival order, which is sequence order within a
+		// source; mergeRelease sorts whatever is not.
+		for _, pk := range e.solver.InOrder() {
 			// A pick's destinations are the owners of the undecided sets
 			// it was credited to.
-			if dests := e.pickDests(pk.Sets); dests != nil {
-				outs = append(outs, pendingOut{t: pk.Tuple, dests: dests})
+			dests := e.pickDests(pk.Sets)
+			if dests == nil {
+				continue
 			}
+			for len(held) > 0 && held[0].t.Seq <= pk.Tuple.Seq {
+				outs, held = append(outs, held[0]), held[1:]
+			}
+			outs = append(outs, pendingOut{t: pk.Tuple, dests: dests})
 		}
+		outs = append(outs, held...)
 	}
 	// The picks are read; drop the greedy input so the scratch pins no set
 	// or tuple.

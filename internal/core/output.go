@@ -57,7 +57,9 @@ type Stats struct {
 	// (stage two), which feeds the run-time predictor.
 	CPU, GreedyCPU time.Duration
 	// Latencies holds one source-to-release latency sample per delivery
-	// (including the MulticastDelay constant).
+	// (including the MulticastDelay constant), in release order. It is
+	// filled by Finish on a retaining engine, from Result.Transmissions;
+	// before Finish, and on a drained engine, it is empty.
 	Latencies []time.Duration
 	// MultiplexDisorder counts transmissions whose tuple precedes (by
 	// sequence) an already-released tuple — the disorder that eager
@@ -133,31 +135,25 @@ func (po *pendingOut) labels(one *[1]string) []string {
 // mergeRelease folds pending outputs released at the same instant into
 // transmissions in sequence order, merging the destination lists of the
 // same tuple (sorted, for determinism), and records stats. An output that
-// alone carries its tuple donates its list.
+// alone carries its tuple donates its list. Outputs are mostly staged in
+// sequence order already — a region's greedy picks are — so the buffer is
+// sorted, stably, only when it is not: decided picks mixed with greedy
+// ones, a batch spanning regions, a step's PS decisions.
 func (e *Engine) mergeRelease(outs []pendingOut, releasedAt time.Time) {
-	// Order indices, not the outputs: those are full of pointers, and
-	// moving them costs write barriers. Ties keep staging order.
-	order := e.relOrder[:0]
-	for i := range outs {
-		order = append(order, i)
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		return cmp.Or(cmp.Compare(outs[a].t.Seq, outs[b].t.Seq), cmp.Compare(a, b))
-	})
-	e.relOrder = order
+	sortPending(outs)
 	st := &e.result.Stats
-	for len(order) > 0 {
-		first := &outs[order[0]]
+	for len(outs) > 0 {
+		first := &outs[0]
 		t, seq := first.t, first.t.Seq
 		same := 1
-		for same < len(order) && outs[order[same]].t.Seq == seq {
+		for same < len(outs) && outs[same].t.Seq == seq {
 			same++
 		}
 		dests := first.dests
 		if same > 1 || dests == nil {
-			dests = e.mergedDests(outs, order[:same])
+			dests = e.mergedDests(outs[:same])
 		}
-		order = order[same:]
+		outs = outs[same:]
 		tr := Transmission{Tuple: t, Destinations: dests, ReleasedAt: releasedAt}
 		if e.drain {
 			e.recycleOut()
@@ -177,14 +173,37 @@ func (e *Engine) mergeRelease(outs []pendingOut, releasedAt time.Time) {
 			e.releasedQ = append(e.releasedQ, releasedRec{seq: seq, ts: t.TS.UnixNano()})
 			st.DistinctOutputs++
 		}
-		lat := releasedAt.Sub(t.TS) + e.opts.MulticastDelay
 		for _, d := range dests {
 			st.PerFilter[d]++
-			if !e.drain {
-				st.Latencies = append(st.Latencies, lat)
-			}
 		}
 	}
+}
+
+// sortPending puts staged outputs in sequence order, ties in staging
+// order. The check is a pass over the buffer; the sort runs only when it
+// fails.
+func sortPending(outs []pendingOut) {
+	for i := 1; i < len(outs); i++ {
+		if outs[i].t.Seq < outs[i-1].t.Seq {
+			slices.SortStableFunc(outs, func(a, b pendingOut) int { return cmp.Compare(a.t.Seq, b.t.Seq) })
+			return
+		}
+	}
+}
+
+// latencies derives one latency sample per delivery from a retaining
+// engine's transmissions: release time minus source time, plus the
+// multicast delay, repeated for each destination. deliveries sizes the
+// slice exactly.
+func latencies(trs []Transmission, deliveries int, delay time.Duration) []time.Duration {
+	out := make([]time.Duration, 0, deliveries)
+	for i := range trs {
+		lat := trs[i].ReleasedAt.Sub(trs[i].Tuple.TS) + delay
+		for range trs[i].Destinations {
+			out = append(out, lat)
+		}
+	}
+	return out
 }
 
 // releasedRec is one tuple counted in Stats.DistinctOutputs.

@@ -86,11 +86,15 @@ type Solver struct {
 	ents   []*tuple.Tuple // entry -> its tuple (the first seen with its seq)
 	entOff []int32        // entry j's sets are entSet[entOff[j]:entOff[j+1]]
 	entSet []int32
-	u      []int32 // current utility per entry; 0 once chosen
-	hist   []int32 // hist[k]: entries of utility k
-	ord    []int32 // entries by (TS, Seq): the tie-break order
-	idx    tuple.SeqIndex
-	picks  []Pick
+	// u is the current utility per entry; a chosen entry holds -(k+1),
+	// k being its pick's index.
+	u     []int32
+	hist  []int32 // hist[k]: entries of utility k
+	ord   []int32 // entries by (TS, Seq): the tie-break order
+	idx   tuple.SeqIndex
+	picks []Pick
+	// byTime backs InOrder.
+	byTime []Pick
 	// credits backs every pick's Sets, one run per pick.
 	credits []*filter.CandidateSet
 }
@@ -208,6 +212,7 @@ func resize(buf []int32, n int) []int32 {
 // the (TS, Seq) order from the preferred end and stopping at the first
 // entry at the maximum makes exactly that choice.
 func (s *Solver) Greedy(sets []*filter.CandidateSet, preferEarliest bool) ([]Pick, error) {
+	s.picks = s.picks[:0]
 	if len(sets) == 0 {
 		return nil, nil
 	}
@@ -242,8 +247,7 @@ func (s *Solver) Greedy(sets []*filter.CandidateSet, preferEarliest bool) ([]Pic
 		}
 		best := s.first(maxU, preferEarliest)
 		s.hist[maxU]--
-		s.hist[0]++
-		s.u[best] = 0
+		s.u[best] = -int32(len(picks)) - 1
 		from := len(credits)
 		for _, si := range s.entSet[s.entOff[best]:s.entOff[best+1]] {
 			if s.need[si] == 0 {
@@ -267,6 +271,27 @@ func (s *Solver) Greedy(sets []*filter.CandidateSet, preferEarliest bool) ([]Pic
 	}
 	s.picks, s.credits = picks, credits
 	return picks, nil
+}
+
+// InOrder returns the picks of the last Greedy call in (TS, Seq) order,
+// the order their tuples arrived in, by one pass over the tie-break order
+// instead of a sort. Like the picks it is solver scratch, valid until the
+// next call.
+func (s *Solver) InOrder() []Pick {
+	if len(s.picks) < 2 {
+		return s.picks
+	}
+	out := s.byTime[:0]
+	for _, j := range s.ord {
+		if k := s.u[j]; k < 0 {
+			out = append(out, s.picks[-k-1])
+			if len(out) == len(s.picks) {
+				break
+			}
+		}
+	}
+	s.byTime = out
+	return out
 }
 
 // first returns the first entry at utility u in tie-break order: from the

@@ -1,8 +1,10 @@
 package hitting
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -377,5 +379,60 @@ func TestSolverAllocs(t *testing.T) {
 	if a, b := fresh(small), fresh(large); b > a {
 		t.Errorf("fresh solver: %v allocations on %d sets, %v on %d; want a count that does not follow the instance",
 			a, len(small), b, len(large))
+	}
+}
+
+// TestSolverInOrder: InOrder lists exactly the last instance's picks, each
+// with its credited sets, in (TS, Seq) order, on every numbering the
+// reference differential draws — including timestamps out of seq order.
+func TestSolverInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var s Solver
+	for trial := range 2000 {
+		sets := diffInstance(rng)
+		picks, err := s.Greedy(sets, trial%2 == 1)
+		if err != nil {
+			continue
+		}
+		want := slices.Clone(picks)
+		slices.SortStableFunc(want, func(a, b Pick) int {
+			return cmp.Or(a.Tuple.TS.Compare(b.Tuple.TS), cmp.Compare(a.Tuple.Seq, b.Tuple.Seq))
+		})
+		got := s.InOrder()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: InOrder has %d picks, Greedy %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Tuple != want[i].Tuple || !slices.Equal(got[i].Sets, want[i].Sets) {
+				t.Fatalf("trial %d: InOrder %v, want %v", trial, pickSeqs(got), pickSeqs(want))
+			}
+		}
+	}
+	if _, err := s.Greedy(nil, false); err != nil || len(s.InOrder()) != 0 {
+		t.Fatalf("after an empty instance InOrder has %d picks", len(s.InOrder()))
+	}
+}
+
+// BenchmarkSolverSmallRegion decides the small regions a narrow-slack
+// DC1 group closes most of the time — two sets of two members sharing
+// one, three sets of three in a chain — with a reused solver, so ns/op
+// is the fixed cost of building and deciding an instance.
+func BenchmarkSolverSmallRegion(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		sets []*filter.CandidateSet
+	}{
+		{"2x2", []*filter.CandidateSet{setOf("A", 0, 1, 2), setOf("B", 0, 2, 3)}},
+		{"3x3", []*filter.CandidateSet{setOf("A", 0, 1, 2, 3), setOf("B", 0, 2, 3, 4), setOf("C", 0, 3, 4, 5)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var s Solver
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Greedy(c.sets, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -138,10 +138,12 @@ type Config struct {
 	// allocates a fresh slice only for a pruned view.
 	ShareLabels bool
 	// KeepResults makes every source's engine retain what it released
-	// (transmissions, latency samples) for Runtime().Results(), which the
-	// embedded broker publishes. Without it the engines are drained: the
-	// sink is the only consumer of a release, and a source's memory
-	// follows its open regions instead of the length of its stream.
+	// (its transmissions, and the latency samples Finish derives from
+	// them) for Runtime().Results(), which the embedded broker publishes.
+	// The samples appear once the source finished. Without it the engines
+	// are drained: the sink is the only consumer of a release, and a
+	// source's memory follows its open regions instead of the length of
+	// its stream.
 	KeepResults bool
 }
 
