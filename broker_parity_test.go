@@ -290,70 +290,6 @@ func TestBrokerParityEmbeddedNetworked(t *testing.T) {
 	}
 }
 
-// TestBrokerParitySubscribeBufferedCompat pins the deprecated
-// Client.SubscribeBuffered against the new WithQueueDepth path: both
-// relay the same queue depth to the server.
-func TestBrokerParitySubscribeBufferedCompat(t *testing.T) {
-	srv, err := gasf.StartServer(gasf.ServerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	}()
-	addr := srv.Addr().String()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	schema, err := gasf.NewSchema("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := gasf.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := b.OpenSource(ctx, "src", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSub, err := b.Subscribe(ctx, "new", "src", "DC1(v, 0.5, 0)", gasf.WithQueueDepth(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldSub, err := gasf.NewClient(addr).SubscribeBuffered("old", "src", "DC1(v, 0.5, 0)", 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := gasf.NewTuple(schema, 0, time.Unix(1, 0), []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Publish(ctx, tp); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Finish(ctx); err != nil {
-		t.Fatal(err)
-	}
-	d, err := newSub.Recv(ctx)
-	if err != nil {
-		t.Fatalf("new-path recv: %v", err)
-	}
-	od, err := oldSub.Recv()
-	if err != nil {
-		t.Fatalf("old-path recv: %v", err)
-	}
-	if d.Tuple.Seq != od.Tuple.Seq || d.Tuple.ValueAt(0) != od.Tuple.ValueAt(0) {
-		t.Errorf("paths delivered different tuples: %v vs %v", d.Tuple, od.Tuple)
-	}
-	if err := b.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	oldSub.Close()
-}
-
 // driveResume runs the deterministic resume script on one durable
 // broker: app "keeper" consumes the whole stream; app "res" consumes
 // phase 1 while recording its wire-encoded deliveries, leaves at a Sync

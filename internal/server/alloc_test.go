@@ -74,7 +74,7 @@ func TestPublishContextZeroAllocs(t *testing.T) {
 	schema := tuple.MustSchema("v")
 	conn, far := loopbackPair(t)
 	go io.Copy(io.Discard, far)
-	pub := &Publisher{conn: conn, schema: schema, source: "s1"}
+	pub := &Publisher{conn: conn, source: "s1"}
 	batch := make([]*tuple.Tuple, 64)
 	seq := 0
 	publish := func() {

@@ -196,13 +196,13 @@ func budgetTopology(t *testing.T, c budgetCase) (pubAddr, subAddr string, delive
 // subscriber seeing the end of its stream — and the deliveries made.
 func budgetEndToEnd(t *testing.T, c budgetCase, sr *tuple.Series) (mallocs, deliveries uint64) {
 	pubAddr, subAddr, srv := budgetTopology(t, c)
-	pub, err := DialPublisher(pubAddr, "s1", sr.Schema())
+	pub, err := DialPublisherTimeout(pubAddr, "s1", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for i, spec := range c.specs {
-		sub, err := DialSubscriber(subAddr, c.app(i), "s1", spec)
+		sub, err := DialSubscriberOpts(subAddr, c.app(i), "s1", spec, SubDialOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func budgetEndToEnd(t *testing.T, c budgetCase, sr *tuple.Series) (mallocs, deli
 func budgetPublish(t *testing.T, sr *tuple.Series) uint64 {
 	conn, far := loopbackPair(t)
 	go io.Copy(io.Discard, far)
-	pub := &Publisher{conn: conn, schema: sr.Schema(), source: "s1"}
+	pub := &Publisher{conn: conn, source: "s1"}
 	publishBatches(t, pub, sr, 0, budgetWarmup)
 	return mallocsDuring(func() { publishBatches(t, pub, sr, budgetWarmup, sr.Len()) })
 }
@@ -407,13 +407,13 @@ func TestServerEngineBoundedHeap(t *testing.T) {
 	sr := stepSeries(t, 5*n, 0)
 	srv := startServer(t, Config{Logf: func(string, ...any) {}, SourceTimeout: -1})
 	addr := srv.Addr().String()
-	pub, err := DialPublisher(addr, "s1", sr.Schema())
+	pub, err := DialPublisherTimeout(addr, "s1", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
-		sub, err := DialSubscriber(addr, string(rune('a'+i)), "s1", "DC1(v, 0.5, 0)")
+		sub, err := DialSubscriberOpts(addr, string(rune('a'+i)), "s1", "DC1(v, 0.5, 0)", SubDialOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

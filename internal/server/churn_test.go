@@ -33,14 +33,14 @@ func TestSubscriptionChurn(t *testing.T) {
 
 	for si := 0; si < sources; si++ {
 		source := fmt.Sprintf("src%d", si)
-		pub, err := DialPublisher(addr, source, schema)
+		pub, err := DialPublisherTimeout(addr, source, schema, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The stable subscriber joins before the first tuple, with a
 		// pass-all spec: values step by 1 > delta, so every tuple is a
 		// closed singleton set and must be delivered exactly once.
-		stable, err := DialSubscriber(addr, "stable", source, "DC1(v, 0.5, 0)")
+		stable, err := DialSubscriberOpts(addr, "stable", source, "DC1(v, 0.5, 0)", SubDialOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestSubscriptionChurn(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(100 + ci)))
 				for round := 0; ; round++ {
 					app := fmt.Sprintf("churn%d-%d", ci, round)
-					sub, err := DialSubscriber(addr, app, source, "DC1(v, 3.5, 1.5)")
+					sub, err := DialSubscriberOpts(addr, app, source, "DC1(v, 3.5, 1.5)", SubDialOpts{})
 					if err != nil {
 						// The source may already be finished; churn ends.
 						return

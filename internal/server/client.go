@@ -84,24 +84,35 @@ func withConnCtx(ctx context.Context, conn net.Conn, writeOnly bool, op func() e
 }
 
 // dialHello dials the server, sends one hello frame, and waits for the
-// hello-ok (or error) answer, returning the ok payload.
-func dialHello(addr string, kind byte, hello []byte, timeout time.Duration) (net.Conn, []byte, error) {
+// hello-ok (or error) answer, returning the ok payload. timeout bounds the
+// dial plus handshake (0 means 5s); ctx cancels either early.
+func dialHello(ctx context.Context, addr string, kind byte, hello []byte, timeout time.Duration) (net.Conn, []byte, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	d := net.Dialer{Timeout: timeout}
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: %w", err)
 	}
 	conn.SetDeadline(time.Now().Add(timeout))
-	if err := WriteFrame(conn, kind, hello); err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("server: sending hello: %w", err)
-	}
-	k, payload, err := ReadFrame(conn)
+	var (
+		k       byte
+		payload []byte
+	)
+	err = withConnCtx(ctx, conn, false, func() error {
+		if err := WriteFrame(conn, kind, hello); err != nil {
+			return fmt.Errorf("server: sending hello: %w", err)
+		}
+		var err error
+		if k, payload, err = ReadFrame(conn); err != nil {
+			return fmt.Errorf("server: reading hello answer: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
 		conn.Close()
-		return nil, nil, fmt.Errorf("server: reading hello answer: %w", err)
+		return nil, nil, err
 	}
 	switch k {
 	case FrameHelloOK:
@@ -120,7 +131,6 @@ func dialHello(addr string, kind byte, hello []byte, timeout time.Duration) (net
 // schema to the server under an advertised source name.
 type Publisher struct {
 	conn   net.Conn
-	schema *tuple.Schema
 	source string
 	// Resume hint from the handshake: the highest tuple sequence the
 	// server's durable log holds for this source (resumeOK false against
@@ -132,29 +142,23 @@ type Publisher struct {
 	mu      sync.Mutex
 	buf     []byte
 	lastTS  time.Time
-	seq     int64
 	pingSeq uint64
 	closed  bool
 }
 
-// DialPublisher opens a source session. The schema travels in the
-// handshake; every published tuple must use it.
-func DialPublisher(addr, source string, schema *tuple.Schema) (*Publisher, error) {
-	return DialPublisherTimeout(addr, source, schema, 0)
-}
-
-// DialPublisherTimeout is DialPublisher with an explicit dial-plus-
-// handshake timeout; 0 means the 5s default.
+// DialPublisherTimeout opens a source session under an explicit dial-
+// plus-handshake timeout; 0 means the 5s default. The schema travels in
+// the handshake; every published tuple must use it.
 func DialPublisherTimeout(addr, source string, schema *tuple.Schema, timeout time.Duration) (*Publisher, error) {
 	hello, err := EncodeSourceHello(source, schema)
 	if err != nil {
 		return nil, err
 	}
-	conn, ok, err := dialHello(addr, FrameSourceHello, hello, timeout)
+	conn, ok, err := dialHello(context.Background(), addr, FrameSourceHello, hello, timeout)
 	if err != nil {
 		return nil, err
 	}
-	p := &Publisher{conn: conn, schema: schema, source: source}
+	p := &Publisher{conn: conn, source: source}
 	if seq, durable, err := DecodeSourceHelloOK(ok); err != nil {
 		conn.Close()
 		return nil, err
@@ -207,79 +211,6 @@ func (p *Publisher) publishLocked(t *tuple.Tuple) error {
 		return fmt.Errorf("server: publishing: %w", err)
 	}
 	p.lastTS = t.TS
-	return nil
-}
-
-// PublishNow stamps the values with the current wall clock (strictly
-// after the previous publish) and a fresh sequence number, then
-// publishes. It is the convenient path for live feeds where the client
-// does not manage timestamps itself; PublishNow and Publish may be mixed
-// and called concurrently.
-func (p *Publisher) PublishNow(values []float64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return fmt.Errorf("server: publisher closed")
-	}
-	ts := time.Now()
-	if !ts.After(p.lastTS) {
-		ts = p.lastTS.Add(time.Nanosecond)
-	}
-	t, err := tuple.New(p.schema, int(p.seq), ts, values)
-	if err != nil {
-		return err
-	}
-	p.seq++
-	return p.publishLocked(t)
-}
-
-// PublishNowBatch stamps and publishes a run of tuples with a single
-// write: the frames are encoded back to back into the recycled buffer
-// and cross the network — and, server-side, the shard ring — as one
-// burst instead of one synchronization per tuple. Timestamps are the
-// current wall clock, strictly increasing across the batch.
-func (p *Publisher) PublishNowBatch(values [][]float64) error {
-	if len(values) == 0 {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return fmt.Errorf("server: publisher closed")
-	}
-	// One clock read per batch; tuples step by a nanosecond so the
-	// strictly-increasing timestamp contract holds within the burst.
-	// Publisher state (seq, lastTS) is committed only once the whole
-	// batch has validated and encoded, so a bad row leaves the session
-	// exactly as it was — all-or-nothing, like Publish.
-	ts := time.Now()
-	seq, lastTS := p.seq, p.lastTS
-	buf := p.buf[:0]
-	for _, vals := range values {
-		if !ts.After(lastTS) {
-			ts = lastTS.Add(time.Nanosecond)
-		}
-		t, err := tuple.New(p.schema, int(seq), ts, vals)
-		if err != nil {
-			return err
-		}
-		// Frames after the first do not start at buf[0], so the length
-		// patch is frame-relative rather than via beginFrame/endFrame.
-		start := len(buf)
-		buf = append(buf, FrameTuple, 0, 0, 0, 0)
-		if buf, err = wire.AppendTuple(buf, t); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(buf[start+1:], uint32(len(buf)-start-frameHeaderLen))
-		seq++
-		lastTS = ts
-		ts = ts.Add(time.Nanosecond)
-	}
-	p.buf = buf
-	if _, err := p.conn.Write(p.buf); err != nil {
-		return fmt.Errorf("server: publishing batch: %w", err)
-	}
-	p.seq, p.lastTS = seq, lastTS
 	return nil
 }
 
@@ -451,13 +382,6 @@ type Subscriber struct {
 	closed bool
 }
 
-// DialSubscriber joins a source's group. spec is a quality specification
-// in the paper's notation, e.g. "DC1(temperature, 0.5, 0.25)"; the
-// returned subscriber carries the source schema from the handshake.
-func DialSubscriber(addr, app, source, spec string) (*Subscriber, error) {
-	return DialSubscriberOpts(addr, app, source, spec, SubDialOpts{})
-}
-
 // SubDialOpts parameterizes a subscriber session dial beyond the
 // required identity (app, source, spec).
 type SubDialOpts struct {
@@ -480,16 +404,27 @@ type SubDialOpts struct {
 	// (block, drop, degrade) from seeing a lagging consumer. A bounded
 	// buffer makes consumer lag propagate promptly.
 	RecvBuffer int
+	// RelayEdge names the edge node on whose behalf the session relays
+	// (an edge's upstream leg); empty for an application session.
+	RelayEdge string
 }
 
-// DialSubscriberOpts joins a source's group with explicit session
-// options, the full-control variant of DialSubscriber.
+// DialSubscriberOpts joins a source's group. spec is a quality
+// specification in the paper's notation, e.g. "DC1(temperature, 0.5,
+// 0.25)"; the returned subscriber carries the source schema from the
+// handshake.
 func DialSubscriberOpts(addr, app, source, spec string, o SubDialOpts) (*Subscriber, error) {
-	hello, err := EncodeSubHello(SubHello{App: app, Source: source, Spec: spec, Queue: o.Queue, Resume: o.Resume, ResumeFrom: o.ResumeFrom})
+	return dialSubscriber(context.Background(), addr, app, source, spec, o)
+}
+
+// dialSubscriber is DialSubscriberOpts with a dial that ctx cancels.
+func dialSubscriber(ctx context.Context, addr, app, source, spec string, o SubDialOpts) (*Subscriber, error) {
+	hello, err := EncodeSubHello(SubHello{App: app, Source: source, Spec: spec, Queue: o.Queue,
+		Resume: o.Resume, ResumeFrom: o.ResumeFrom, RelayEdge: o.RelayEdge})
 	if err != nil {
 		return nil, err
 	}
-	conn, payload, err := dialHello(addr, FrameSubHello, hello, o.Timeout)
+	conn, payload, err := dialHello(ctx, addr, FrameSubHello, hello, o.Timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +440,7 @@ func DialSubscriberOpts(addr, app, source, spec string, o SubDialOpts) (*Subscri
 	}
 	return &Subscriber{
 		conn:   conn,
-		br:     bufio.NewReaderSize(conn, 32<<10),
+		br:     bufio.NewReaderSize(conn, streamReadBuf),
 		schema: schema,
 		app:    app,
 		source: source,
@@ -585,35 +520,50 @@ func (c *Subscriber) RecvInto(d *Delivery) error {
 }
 
 // next reads frames until a transmission arrives and returns its body
-// (aliasing the session's payload buffer) and log offset. Heartbeats are
-// skipped and QoS announcements recorded; a goodbye, an error frame or an
-// unknown kind ends the receive with its typed error.
+// (aliasing the session's payload buffer) and log offset.
 func (c *Subscriber) next() (body []byte, offset uint64, err error) {
 	for {
-		kind, payload, err := ReadFrameInto(c.br, c.buf)
-		c.buf = payload[:cap(payload)]
+		kind, payload, err := c.frame()
 		if err != nil {
-			return nil, 0, fmt.Errorf("server: receiving: %w", err)
+			return nil, 0, err
 		}
-		switch kind {
-		case FrameTransmission:
-			if len(payload) < 8 {
-				return nil, 0, fmt.Errorf("server: truncated offset in transmission frame")
-			}
+		if kind == FrameTransmission {
 			return payload[8:], binary.LittleEndian.Uint64(payload), nil
-		case FrameHeartbeat:
-		case FrameQoS:
-			if err := c.noteQoS(payload); err != nil {
-				return nil, 0, err
-			}
-		case FrameGoodbye:
-			return nil, 0, goodbyeEnd(payload)
-		case FrameError:
-			return nil, 0, remoteError(payload)
-		default:
-			return nil, 0, fmt.Errorf("server: unexpected frame kind %d", kind)
 		}
 	}
+}
+
+// frame reads the session's next frame and types it: a transmission
+// (its payload, aliasing the session's buffer, starts with the 8-byte log
+// offset), a heartbeat, or a QoS announcement, which QoS reports from
+// here on. A goodbye, an error frame or an unknown kind ends the stream
+// with its typed error.
+func (c *Subscriber) frame() (kind byte, payload []byte, err error) {
+	kind, payload, err = ReadFrameInto(c.br, c.buf)
+	c.buf = payload[:cap(payload)]
+	if err != nil {
+		return 0, nil, fmt.Errorf("server: receiving: %w", err)
+	}
+	switch kind {
+	case FrameTransmission:
+		if len(payload) < 8 {
+			return 0, nil, fmt.Errorf("server: truncated offset in transmission frame")
+		}
+	case FrameHeartbeat:
+	case FrameQoS:
+		scale, err := DecodeQoS(payload)
+		if err != nil {
+			return 0, nil, err
+		}
+		c.qos.Store(math.Float64bits(scale))
+	case FrameGoodbye:
+		return 0, nil, goodbyeEnd(payload)
+	case FrameError:
+		return 0, nil, remoteError(payload)
+	default:
+		return 0, nil, fmt.Errorf("server: unexpected frame kind %d", kind)
+	}
+	return kind, payload, nil
 }
 
 // trailing rejects a transmission frame whose body is longer than the
@@ -724,6 +674,24 @@ func (c *Subscriber) Close() error {
 	return c.conn.Close()
 }
 
+// depart is Leave for a session whose receive loop keeps running on
+// another goroutine: it sends the goodbye and leaves the loop to read on
+// to the server's departure ack, which ends the stream with
+// ErrStreamEnded. timeout bounds the write and the wait for the ack.
+func (c *Subscriber) depart(timeout time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return
+	}
+	c.conn.SetWriteDeadline(time.Now().Add(timeout))
+	if err := WriteFrame(c.conn, FrameGoodbye, nil); err != nil {
+		c.conn.Close()
+		return
+	}
+	c.conn.SetReadDeadline(time.Now().Add(timeout))
+}
+
 // Leave is Close that waits for the server's acknowledgment: it sends
 // the goodbye, then drains (and discards) the remaining stream until the
 // server's final goodbye, which the server writes only after this
@@ -747,25 +715,18 @@ func (c *Subscriber) Leave(ctx context.Context) error {
 			return nil
 		}
 		for {
-			kind, payload, err := ReadFrameInto(c.br, c.buf)
-			c.buf = payload[:cap(payload)]
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					// The server closes without an ack when the stream
-					// already ended server-side; the group is re-derived
-					// either way.
-					return nil
-				}
-				return fmt.Errorf("server: awaiting departure ack: %w", err)
-			}
-			switch kind {
-			case FrameGoodbye:
+			// Frames still in flight are discarded; the application is
+			// leaving.
+			_, _, err := c.frame()
+			switch {
+			case err == nil:
+			case errors.Is(err, ErrStreamEnded), errors.Is(err, io.EOF):
+				// The ack, or a close without one because the stream
+				// already ended server-side; the group is re-derived
+				// either way.
 				return nil
-			case FrameError:
-				return remoteError(payload)
 			default:
-				// Transmissions, heartbeats and QoS frames still in flight
-				// are discarded; the application is leaving.
+				return fmt.Errorf("server: awaiting departure ack: %w", err)
 			}
 		}
 	})
@@ -776,16 +737,6 @@ func (c *Subscriber) Leave(ctx context.Context) error {
 	return cerr
 }
 
-// noteQoS records a FrameQoS announcement for QoS().
-func (c *Subscriber) noteQoS(payload []byte) error {
-	scale, err := DecodeQoS(payload)
-	if err != nil {
-		return err
-	}
-	c.qos.Store(math.Float64bits(scale))
-	return nil
-}
-
 // remoteError types a server error-frame payload: slow-consumer
 // eviction notices map onto ErrEvicted, everything else stays a generic
 // remote error.
@@ -794,6 +745,74 @@ func remoteError(payload []byte) error {
 		return fmt.Errorf("%w: %s", ErrEvicted, msg)
 	}
 	return fmt.Errorf("server: remote error: %s", payload)
+}
+
+// Resubscription describes a subscription for Resubscribe to reopen.
+type Resubscription struct {
+	App, Source, Spec string
+	// Opts holds what every attempt dials with; Resubscribe sets Resume
+	// and ResumeFrom per attempt.
+	Opts SubDialOpts
+	// Resume asks for replay from From: the offset after the last one the
+	// subscription delivered, or its original resume point.
+	Resume bool
+	From   uint64
+	// LiveFallback lets a resume the server refuses with
+	// ErrResumeUnavailable go on as a live subscription.
+	LiveFallback bool
+	// Target resolves each attempt's address. moved reports that the
+	// stream now comes from a server whose log offsets are not the
+	// checkpoint's, which drops the resume.
+	Target func() (addr string, moved bool)
+	// Delay is the wait after the attempt'th consecutive failure.
+	Delay func(attempt int) time.Duration
+}
+
+// Resubscribe reopens a subscription, attempt after attempt, until one
+// succeeds or ctx ends. Attempts resume from the checkpoint while it
+// holds. A refused resume goes on live where the caller allows it; every
+// other failure (a server restarting, a source not yet reattached, an old
+// session the server has not yet seen die) is retried after the caller's
+// delay. It reports whether the session resumed.
+func Resubscribe(ctx context.Context, r Resubscription) (*Subscriber, bool, error) {
+	resume := r.Resume
+	for attempt := 0; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
+		addr, moved := r.Target()
+		if moved {
+			resume = false
+		}
+		o := r.Opts
+		o.Resume, o.ResumeFrom = resume, 0
+		if resume {
+			o.ResumeFrom = r.From
+		}
+		sub, err := dialSubscriber(ctx, addr, r.App, r.Source, r.Spec, o)
+		if err == nil {
+			return sub, resume, nil
+		}
+		if resume && r.LiveFallback && errors.Is(err, ErrResumeUnavailable) {
+			resume = false
+			continue
+		}
+		if werr := sleepCtx(ctx, r.Delay(attempt)); werr != nil {
+			return nil, false, fmt.Errorf("server: resubscribing %s/%s: %w (last dial error: %v)", r.App, r.Source, werr, err)
+		}
+	}
+}
+
+// sleepCtx waits for d, or until ctx ends, reporting ctx's error then.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // ErrResumeUnavailable reports a subscriber handshake rejected because

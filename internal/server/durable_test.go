@@ -92,7 +92,7 @@ func TestResumeRejections(t *testing.T) {
 	durable := startServer(t, Config{DataDir: t.TempDir()})
 	addr := durable.Addr().String()
 	sr := stepSeries(t, 10, 0)
-	pub, err := DialPublisher(addr, "src", sr.Schema())
+	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +136,13 @@ func TestResumeSplice(t *testing.T) {
 		}
 	}
 
-	pub, err := DialPublisher(addr, "src", wave1.Schema())
+	pub, err := DialPublisherTimeout(addr, "src", wave1.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// "b" anchors the group: it consumes everything concurrently (block
 	// policy) and keeps at least one member live at every release.
-	subB, err := DialSubscriber(addr, "b", "src", "DC1(v, 0.5, 0)")
+	subB, err := DialSubscriberOpts(addr, "b", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestResumeSplice(t *testing.T) {
 			n++
 		}
 	}()
-	subA, err := DialSubscriber(addr, "a", "src", "DC1(v, 0.5, 0)")
+	subA, err := DialSubscriberOpts(addr, "a", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,13 +264,13 @@ func TestFramePoolBalancedUnderChurn(t *testing.T) {
 	for si := 0; si < sources; si++ {
 		source := fmt.Sprintf("src%d", si)
 		sr := stepSeries(t, tuplesPerSrc, 0)
-		pub, err := DialPublisher(addr, source, sr.Schema())
+		pub, err := DialPublisherTimeout(addr, source, sr.Schema(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A subscriber that never reads: its queue (depth 1) overflows
 		// immediately, exercising the drop-release path all stream long.
-		if _, err := DialSubscriber(addr, "stuck", source, "DC1(v, 0.5, 0)"); err != nil {
+		if _, err := DialSubscriberOpts(addr, "stuck", source, "DC1(v, 0.5, 0)", SubDialOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
@@ -291,7 +291,7 @@ func TestFramePoolBalancedUnderChurn(t *testing.T) {
 			go func(ci int, source string) {
 				defer wg.Done()
 				for round := 0; round < 4; round++ {
-					sub, err := DialSubscriber(addr, fmt.Sprintf("churn%d", ci), source, "DC1(v, 0.5, 0)")
+					sub, err := DialSubscriberOpts(addr, fmt.Sprintf("churn%d", ci), source, "DC1(v, 0.5, 0)", SubDialOpts{})
 					if err != nil {
 						// The source may already have finished.
 						return
@@ -354,7 +354,7 @@ func TestSyncedSourceSurvivesGapScan(t *testing.T) {
 	addr := srv.Addr().String()
 	sr := stepSeries(t, tuples, 0)
 
-	pub, err := DialPublisher(addr, "src", sr.Schema())
+	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestSyncedSourceSurvivesGapScan(t *testing.T) {
 	// buffer caps how much the kernel absorbs, so the server's writer
 	// blocks early and backpressure reaches the ring well within the
 	// published volume.
-	sub, err := DialSubscriber(addr, "slow", "src", "DC1(v, 0.5, 0)")
+	sub, err := DialSubscriberOpts(addr, "slow", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

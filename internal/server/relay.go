@@ -1,13 +1,13 @@
 package server
 
 import (
-	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"time"
 
 	"gasf/internal/federate"
@@ -37,8 +37,6 @@ type FederationConfig struct {
 	// this set, so every node handed the same peer list computes the
 	// same owner for every source. Required for edges.
 	Peers []federate.Node
-	// DialTimeout bounds one upstream leg dial + handshake; 0 means 5s.
-	DialTimeout time.Duration
 }
 
 // legKey is the dedup identity of one upstream leg: the source plus
@@ -53,9 +51,8 @@ type legKey struct {
 // per legKey, created by the first local subscriber of a group and
 // torn down through the acked-departure path by the last leave.
 type relayMgr struct {
-	s       *Server
-	self    string
-	timeout time.Duration
+	s    *Server
+	self string
 	// lat estimates relay delivery latency (tuple source timestamp to
 	// edge egress write) over sampled frames. Nil when telemetry is off.
 	lat *telemetry.LatencyPair
@@ -67,13 +64,9 @@ type relayMgr struct {
 
 func newRelayMgr(s *Server) *relayMgr {
 	m := &relayMgr{
-		s:       s,
-		self:    s.cfg.Federation.Self,
-		timeout: s.cfg.Federation.DialTimeout,
-		legs:    make(map[legKey]*relayLeg),
-	}
-	if m.timeout <= 0 {
-		m.timeout = 5 * time.Second
+		s:    s,
+		self: s.cfg.Federation.Self,
+		legs: make(map[legKey]*relayLeg),
 	}
 	if s.tel != nil {
 		m.lat = telemetry.NewLatencyPair()
@@ -81,41 +74,72 @@ func newRelayMgr(s *Server) *relayMgr {
 	return m
 }
 
-// relayLeg is one upstream subscription: a connection to the
-// source-owning core carrying the group's filtered stream, fanned out
-// to every local member through the recycled refcounted frame path. The
-// leg speaks the ordinary subscriber protocol (version 3 hello), so
-// the core sees exactly the membership a single-node deployment would.
+// legState is a relay leg's lifecycle:
+//
+//	opening → live ⇄ redialing → finished | closing → closed
+//
+// A leg opens inside the handshake of the member that creates it, relays
+// while live and redials a lost session. It finishes when the source
+// finishes upstream and closes when its last member leaves or the server
+// shuts down; a failed first dial goes straight to closed. Members attach
+// only while it is live or redialing, and the registry holds exactly the
+// legs that are opening, live or redialing.
+type legState uint8
+
+const (
+	legOpening legState = iota
+	legLive
+	legRedialing
+	legFinished
+	legClosing
+	legClosed
+)
+
+func (st legState) String() string {
+	return [...]string{"opening", "live", "redialing", "finished", "closing", "closed"}[st]
+}
+
+// legEdges holds each state's legal successors as a bit set.
+var legEdges = [...]uint8{
+	legOpening:   1<<legLive | 1<<legClosing | 1<<legClosed,
+	legLive:      1<<legRedialing | 1<<legFinished | 1<<legClosing,
+	legRedialing: 1<<legLive | 1<<legClosing,
+	legFinished:  1 << legClosed,
+	legClosing:   1 << legClosed,
+	legClosed:    0,
+}
+
+// relayLeg is one upstream subscription: a client Subscriber session
+// with the source-owning core carrying the group's filtered stream,
+// fanned out to every local member through the recycled refcounted frame
+// path. The session is an ordinary subscriber marked with the edge's
+// name, so the core sees exactly the membership a single-node deployment
+// would.
 type relayLeg struct {
 	mgr   *relayMgr
 	key   legKey
 	queue int
-
-	// ready is closed once the first dial resolves; err (set before the
-	// close) rejects waiters when it failed. schemaPayload is the
-	// upstream hello-ok body, replayed verbatim to every local member's
-	// handshake.
-	ready         chan struct{}
-	err           error
+	// ctx ends when the leg starts closing, cancelling a dial in flight.
+	ctx    context.Context
+	cancel context.CancelFunc
+	// schemaPayload is the upstream hello-ok body, replayed verbatim to
+	// every local member's handshake.
 	schemaPayload []byte
-	schema        *tuple.Schema
 
-	// closing latches teardown (last member left, or shutdown); bye
-	// interrupts redial backoff; done closes when the run loop exits.
-	closing atomic.Bool
-	bye     chan struct{}
-	done    chan struct{}
-
-	mu      sync.Mutex
-	members []*subscriber
-	scratch []*subscriber // fan-out copy, so sends run outside the lock
+	mu sync.Mutex
+	// changed is broadcast on every state change.
+	changed sync.Cond
+	state   legState
+	// sub is the open upstream session, nil while opening or redialing;
+	// coreName is the owner it was dialed against. When a rebalance moves
+	// the source, resume state resets (offsets name positions in per-core
+	// logs and do not transfer).
+	sub      *Subscriber
+	coreName string
+	members  []*subscriber
+	scratch  []*subscriber // see snapshot
 	// batches is the run loop's take of empty batches, one per member.
 	batches []*frameBatch
-	conn    net.Conn
-	// coreName is the owner the current connection was dialed against;
-	// when a rebalance moves the source, resume state resets (offsets
-	// name positions in per-core logs and do not transfer).
-	coreName string
 
 	// Resume state, written by the run loop per transmission frame and
 	// read by introspection, hence atomic. seenOffset marks a checkpoint
@@ -126,12 +150,68 @@ type relayLeg struct {
 	seenOffset atomic.Bool
 }
 
-// errLegClosing reports an upstream leg torn down mid-operation.
-var errLegClosing = errors.New("server: upstream leg closing")
+func (m *relayMgr) newLeg(key legKey, queue int) *relayLeg {
+	leg := &relayLeg{mgr: m, key: key, queue: queue}
+	leg.ctx, leg.cancel = context.WithCancel(context.Background())
+	leg.changed.L = &leg.mu
+	return leg
+}
+
+// setState is the leg's one transition function; leg.mu is held, and
+// m.mu too when the leg leaves the registry's states. An edge the
+// lifecycle does not have is a bug: it panics under test and is logged
+// otherwise.
+func (leg *relayLeg) setState(next legState) {
+	if legEdges[leg.state]&(1<<next) == 0 {
+		err := fmt.Errorf("server: relay leg %s/%s: illegal transition %v → %v", leg.key.source, leg.key.app, leg.state, next)
+		if testing.Testing() {
+			panic(err)
+		}
+		leg.mgr.s.lg.Error(err.Error())
+	}
+	leg.state = next
+	leg.changed.Broadcast()
+}
+
+// retire moves the leg out of the registry's states to next (finished,
+// closing or closed) and off the registry, in one step.
+func (leg *relayLeg) retire(next legState) {
+	m := leg.mgr
+	if m.legs[leg.key] == leg {
+		delete(m.legs, leg.key)
+	}
+	leg.setState(next)
+}
+
+// lock takes the registry lock, then the leg's, for a transition that
+// may retire the leg.
+func (leg *relayLeg) lock() {
+	leg.mgr.mu.Lock()
+	leg.mu.Lock()
+}
+
+func (leg *relayLeg) unlock() {
+	leg.mu.Unlock()
+	leg.mgr.mu.Unlock()
+}
+
+// attached reports whether members may attach.
+func (leg *relayLeg) attached() bool {
+	return leg.state == legLive || leg.state == legRedialing
+}
+
+// await blocks until the leg is closed.
+func (leg *relayLeg) await() {
+	leg.mu.Lock()
+	for leg.state != legClosed {
+		leg.changed.Wait()
+	}
+	leg.mu.Unlock()
+}
 
 // ensureLeg finds or creates the leg for a group. The creator performs
 // the first upstream dial outside the registry lock; concurrent
-// subscribers of the same group wait on ready and share the result.
+// subscribers of the same group wait for it and share the leg.
 func (m *relayMgr) ensureLeg(key legKey, queue int) (*relayLeg, error) {
 	for {
 		m.mu.Lock()
@@ -145,65 +225,42 @@ func (m *relayMgr) ensureLeg(key legKey, queue int) (*relayLeg, error) {
 			// node: a same-app subscription under a different spec is a
 			// conflict, rejected here rather than discovered as an
 			// "already subscribed" refusal from the core after retries.
-			for k, other := range m.legs {
-				if k.source == key.source && k.app == key.app && !other.closing.Load() {
+			for k := range m.legs {
+				if k.source == key.source && k.app == key.app {
 					m.mu.Unlock()
 					return nil, fmt.Errorf("app %q already subscribed to source %q with a different spec", key.app, key.source)
 				}
 			}
-			leg = &relayLeg{
-				mgr:   m,
-				key:   key,
-				queue: queue,
-				ready: make(chan struct{}),
-				bye:   make(chan struct{}),
-				done:  make(chan struct{}),
-			}
+			leg = m.newLeg(key, queue)
 			m.legs[key] = leg
 			m.mu.Unlock()
 			if err := leg.dialFirst(); err != nil {
-				m.drop(leg)
-				leg.err = err
-				close(leg.ready)
-				close(leg.done)
 				return nil, err
 			}
-			close(leg.ready)
-			m.s.connWG.Add(1)
-			go leg.run()
 			return leg, nil
 		}
 		m.mu.Unlock()
-		<-leg.ready
-		if leg.err != nil {
-			return nil, leg.err
+		leg.mu.Lock()
+		for leg.state == legOpening {
+			leg.changed.Wait()
 		}
-		if leg.closing.Load() {
-			// Raced with the last member's teardown; wait it out and
-			// create a fresh leg. The wait matters: the core rejects a
-			// second session for the app until the departure is acked.
-			<-leg.done
-			continue
+		ok := leg.attached()
+		leg.mu.Unlock()
+		if ok {
+			return leg, nil
 		}
-		return leg, nil
+		// The first dial failed, or the leg is already retired: it is off
+		// the registry, so the next pass dials a fresh one.
 	}
 }
 
-// drop removes a leg from the registry (if still registered).
-func (m *relayMgr) drop(leg *relayLeg) {
-	m.mu.Lock()
-	if m.legs[leg.key] == leg {
-		delete(m.legs, leg.key)
-	}
-	m.mu.Unlock()
-}
-
-// attach adds a local member to the leg; false when the leg began
-// closing concurrently (the caller re-runs ensureLeg).
+// attach adds a local member to the leg; false when the leg no longer
+// takes members (it finished or is closing; the caller re-runs
+// ensureLeg).
 func (leg *relayLeg) attach(sub *subscriber) bool {
 	leg.mu.Lock()
 	defer leg.mu.Unlock()
-	if leg.closing.Load() {
+	if !leg.attached() {
 		return false
 	}
 	leg.members = append(leg.members, sub)
@@ -218,147 +275,191 @@ func (leg *relayLeg) attach(sub *subscriber) bool {
 // single-node departure guarantees.
 func (m *relayMgr) detach(sub *subscriber) {
 	leg := sub.leg
-	leg.mu.Lock()
+	leg.lock()
 	for i, s2 := range leg.members {
 		if s2 == sub {
 			leg.members = append(leg.members[:i], leg.members[i+1:]...)
 			break
 		}
 	}
-	// The CAS is the teardown latch: detach and shutdown race to it, and
-	// only the winner closes bye (a second close would panic).
-	last := len(leg.members) == 0 && leg.closing.CompareAndSwap(false, true)
-	var conn net.Conn
+	last := len(leg.members) == 0 && leg.attached()
+	up := leg.sub
 	if last {
-		conn = leg.conn
+		leg.retire(legClosing)
 	}
-	leg.mu.Unlock()
+	leg.unlock()
 	if !last {
 		return
 	}
-	m.drop(leg)
-	close(leg.bye)
-	if conn != nil {
-		conn.SetWriteDeadline(time.Now().Add(m.s.cfg.WriteTimeout))
-		if err := WriteFrame(conn, FrameGoodbye, nil); err != nil {
-			conn.Close()
-		} else {
-			// The run loop exits on the core's ack; the deadline bounds
-			// the wait if the core never answers.
-			conn.SetReadDeadline(time.Now().Add(m.s.cfg.WriteTimeout))
-		}
+	leg.cancel()
+	if up != nil {
+		up.depart(m.s.cfg.WriteTimeout) // the run loop ends on the core's ack
 	}
-	<-leg.done
+	leg.await()
 }
 
-// dialFirst opens the leg's first upstream connection, inside the
-// subscriber handshake of the member that created it. Most rejections
-// (unknown source, bad spec) surface immediately — the local client
-// sees the same error a single-node subscribe would — but a transient
-// "already subscribed" is retried briefly: it means the previous leg
-// for this group is mid-teardown and the core has not acked its
-// departure yet.
+// dialOpts are the options of every upstream session the leg dials.
+func (leg *relayLeg) dialOpts() SubDialOpts {
+	return SubDialOpts{Queue: leg.queue, RelayEdge: leg.mgr.self}
+}
+
+// dialFirst opens the leg's first upstream session and starts the run
+// loop. Most rejections (unknown source, bad spec) surface immediately,
+// so the local client sees the error a single-node subscribe would, but a
+// transient "already subscribed" is retried briefly: the previous leg for
+// this group is mid-teardown and the core has not acked its departure
+// yet.
 func (leg *relayLeg) dialFirst() error {
 	m := leg.mgr
 	deadline := time.Now().Add(m.s.cfg.HandshakeTimeout)
-	for {
-		core, ok := m.s.ownerOf(leg.key.source)
-		if !ok {
-			return fmt.Errorf("server: no core topology to place source %q", leg.key.source)
-		}
-		conn, payload, err := leg.dialUpstream(core, false)
-		if err == nil {
-			schema, derr := DecodeSchema(payload)
-			if derr != nil {
-				conn.Close()
-				return fmt.Errorf("server: upstream schema: %w", derr)
-			}
-			leg.schemaPayload, leg.schema = payload, schema
-			// Publish the conn under the lock, re-checking closing: a
-			// server shutdown that snapshotted this leg mid-dial saw conn
-			// nil and is waiting on done, so the dial must not hand a live
-			// conn to a run loop shutdown can no longer interrupt.
-			leg.mu.Lock()
-			if leg.closing.Load() {
-				leg.mu.Unlock()
-				conn.Close()
-				return errDraining
-			}
-			leg.conn, leg.coreName = conn, core.Name
-			leg.mu.Unlock()
-			m.s.ctr.fedLegDials.Add(1)
-			m.s.lg.Info("upstream leg opened", "source", leg.key.source, "app", leg.key.app, "core", core.Name)
-			return nil
-		}
-		if !errors.Is(err, ErrAlreadySubscribed) || time.Now().After(deadline) {
-			return err
-		}
-		select {
-		case <-time.After(20 * time.Millisecond):
-		case <-m.s.stop:
-			return errDraining
-		}
-	}
-}
-
-// dialUpstream performs one relay handshake against a core.
-func (leg *relayLeg) dialUpstream(core federate.Node, resume bool) (net.Conn, []byte, error) {
-	hello, err := EncodeSubHello(SubHello{App: leg.key.app, Source: leg.key.source, Spec: leg.key.spec,
-		Queue: leg.queue, Resume: resume, ResumeFrom: leg.lastOffset.Load() + 1, RelayEdge: leg.mgr.self})
-	if err != nil {
-		return nil, nil, err
-	}
-	return dialHello(core.Addr, FrameSubHello, hello, leg.mgr.timeout)
-}
-
-// relay stream-end reasons.
-const (
-	relayRedial = iota // drain goodbye, error frame or connection error
-	relayFinish        // plain goodbye: the source finished upstream
-	relayClosed        // teardown ack after a local goodbye
-)
-
-// run is the leg's read loop: it decodes nothing it does not have to,
-// reconstructs each transmission frame byte-identically (offset
-// included), and fans it out to every local member through the
-// refcounted frame free list. On a drain goodbye or a connection error it
-// redials with backoff, resuming a durable upstream from lastOffset+1 so
-// members ride through core restarts and partitions without a gap or a
-// duplicate.
-func (leg *relayLeg) run() {
-	defer leg.mgr.s.connWG.Done()
-	defer close(leg.done)
-	for {
-		leg.mu.Lock()
-		conn := leg.conn
-		leg.mu.Unlock()
-		reason := leg.readStream(conn)
-		conn.Close()
-		if leg.closing.Load() || reason == relayClosed {
-			return
-		}
-		if reason == relayFinish {
-			leg.finishMembers()
-			leg.mgr.drop(leg)
-			return
-		}
-		if !leg.redial() {
-			return
-		}
-	}
-}
-
-// readStream consumes one upstream connection until it ends.
-// Transmission frames are fanned out in runs: the frames already whole
-// in the read buffer (the frameBuffered guard readSource uses, bounded
-// by the flush batch) go to each member as one batch, and a run never
-// waits for bytes that have not arrived. Any other frame, and the end of
-// the stream, first flushes the run, so members see the upstream order.
-func (leg *relayLeg) readStream(conn net.Conn) int {
-	br := bufio.NewReaderSize(conn, streamReadBuf)
-	runMax := leg.mgr.s.flushBatch()
 	var (
-		buf   []byte
+		sub  *Subscriber
+		core federate.Node
+		ok   bool
+		err  error
+	)
+	for {
+		if core, ok = m.s.ownerOf(leg.key.source); !ok {
+			err = fmt.Errorf("server: no core topology to place source %q", leg.key.source)
+			break
+		}
+		sub, err = dialSubscriber(leg.ctx, core.Addr, leg.key.app, leg.key.source, leg.key.spec, leg.dialOpts())
+		if err == nil || !errors.Is(err, ErrAlreadySubscribed) || time.Now().After(deadline) ||
+			sleepCtx(leg.ctx, 20*time.Millisecond) != nil {
+			break
+		}
+	}
+	var payload []byte
+	if err == nil {
+		payload, err = EncodeSchema(sub.Schema())
+	}
+	leg.lock()
+	if err == nil && leg.state == legOpening {
+		leg.sub, leg.coreName, leg.schemaPayload = sub, core.Name, payload
+		leg.setState(legLive)
+		leg.unlock()
+		m.s.ctr.fedLegDials.Add(1)
+		m.s.lg.Info("upstream leg opened", "source", leg.key.source, "app", leg.key.app, "core", core.Name)
+		m.s.connWG.Add(1)
+		go leg.run(sub)
+		return nil
+	}
+	if leg.state == legClosing {
+		err = errDraining // a shutdown began meanwhile
+	}
+	leg.retire(legClosed)
+	leg.unlock()
+	leg.cancel()
+	if sub != nil {
+		sub.conn.Close()
+	}
+	return err
+}
+
+// run is the leg's loop: relay one session until it ends, then move the
+// leg on, until it is closed.
+func (leg *relayLeg) run(sub *Subscriber) {
+	defer leg.mgr.s.connWG.Done()
+	for sub != nil {
+		err := leg.relay(sub)
+		sub.conn.Close() // the stream is over; no goodbye is owed
+		sub = leg.next(err)
+	}
+}
+
+// next moves the leg on from a session that ended with err: a closing
+// leg (the core's departure ack, or the shutdown cut) closes; a plain
+// goodbye (the source finished upstream) finishes every member and
+// closes; anything else (a drain goodbye, an error frame, a lost
+// connection, a rebalance cut) redials. It returns the reopened session,
+// or nil once the leg is closed.
+func (leg *relayLeg) next(err error) *Subscriber {
+	m := leg.mgr
+	leg.lock()
+	leg.sub = nil
+	switch {
+	case leg.state == legClosing:
+		leg.setState(legClosed)
+		leg.unlock()
+		return nil
+	case errors.Is(err, ErrStreamEnded) && !errors.Is(err, ErrServerDraining):
+		leg.retire(legFinished)
+		leg.unlock()
+		leg.finishMembers()
+		leg.mu.Lock()
+		leg.setState(legClosed)
+		leg.mu.Unlock()
+		return nil
+	}
+	leg.setState(legRedialing)
+	leg.unlock()
+	m.s.lg.Warn("upstream leg lost", "source", leg.key.source, "app", leg.key.app, "err", err)
+
+	// Against a durable core the redial resumes from lastOffset+1, which
+	// the core's splice fence makes gapless and duplicate-free. It rejoins
+	// live when resume is impossible: a non-durable core, or a new owner
+	// (offsets name positions in the old core's log; the rebalance
+	// protocol quiesces publishers across the move, so nothing is lost).
+	var core federate.Node
+	sub, resumed, err := Resubscribe(leg.ctx, Resubscription{
+		App: leg.key.app, Source: leg.key.source, Spec: leg.key.spec, Opts: leg.dialOpts(),
+		Resume: leg.seenOffset.Load(), From: leg.lastOffset.Load() + 1, LiveFallback: true,
+		Target: func() (string, bool) {
+			core, _ = m.s.ownerOf(leg.key.source)
+			return core.Addr, core.Name != leg.coreName
+		},
+		Delay: legRedialDelay,
+	})
+	leg.mu.Lock()
+	if err != nil || leg.state == legClosing {
+		// Only a teardown ends the redial loop. A session it opened anyway
+		// leaves through the acked path before the leg closes, as the
+		// live session would have.
+		leg.mu.Unlock()
+		if sub != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), m.s.cfg.WriteTimeout)
+			_ = sub.Leave(ctx) // a failed leave still ends the session
+			cancel()
+		}
+		leg.mu.Lock()
+		leg.setState(legClosed)
+		leg.mu.Unlock()
+		return nil
+	}
+	leg.sub, leg.coreName = sub, core.Name
+	leg.setState(legLive)
+	leg.mu.Unlock()
+	leg.seenOffset.Store(resumed)
+	m.s.ctr.fedLegRedials.Add(1)
+	if resumed {
+		m.s.ctr.fedLegResumes.Add(1)
+	}
+	m.s.lg.Info("upstream leg re-established", "source", leg.key.source, "app", leg.key.app,
+		"core", core.Name, "resume", resumed)
+	return sub
+}
+
+// legRedialDelay is the leg's redial schedule: 20ms, doubling to 2s.
+func legRedialDelay(attempt int) time.Duration {
+	d := 20 * time.Millisecond
+	for ; attempt > 0 && d < 2*time.Second; attempt-- {
+		d *= 2
+	}
+	return min(d, 2*time.Second)
+}
+
+// relay consumes one upstream session until it ends, reconstructing each
+// transmission frame byte-identically (offset included) and fanning it
+// out to every local member through the refcounted frame free list.
+// Transmission frames go out in runs: the frames already whole in the
+// read buffer (the frameBuffered guard readSource uses, bounded by the
+// flush batch) go to each member as one batch, and a run never waits for
+// bytes that have not arrived. Any other frame, and the end of the
+// stream, first flushes the run, so members see the upstream order.
+func (leg *relayLeg) relay(sub *Subscriber) error {
+	m := leg.mgr
+	runMax := m.s.flushBatch()
+	var (
 		run   = make([]*frame, 0, runMax)
 		stash frameStash
 		// Relay-latency sampling state: decoding every transmission just
@@ -370,63 +471,38 @@ func (leg *relayLeg) readStream(conn net.Conn) int {
 	)
 	defer stash.drop()
 	for {
-		kind, b, err := ReadFrameInto(br, buf)
-		if err != nil {
-			run = leg.fanout(run)
-			if !leg.closing.Load() {
-				leg.mgr.s.lg.Warn("upstream leg lost", "source", leg.key.source, "app", leg.key.app, "err", err)
-			}
-			return relayRedial
-		}
-		buf = b
+		kind, buf, err := sub.frame()
 		if kind != FrameTransmission {
 			run = leg.fanout(run)
+			if err != nil {
+				return err
+			}
+			if kind == FrameQoS {
+				// The core degraded (or restored) the group's effective
+				// quality; members heartbeat on their own writers' idle
+				// timers.
+				leg.forwardQoS(sub.QoS())
+			}
+			continue
 		}
-		switch kind {
-		case FrameTransmission:
-			if len(buf) < 8 {
-				leg.fanout(run)
-				return relayRedial
+		leg.lastOffset.Store(binary.LittleEndian.Uint64(buf))
+		leg.seenOffset.Store(true)
+		m.s.ctr.fedRelayFrames.Add(1)
+		fr := stash.get(runMax-len(run), frameHeaderLen+len(buf))
+		fr.buf = endFrame(append(beginFrame(fr.buf, kind), buf...))
+		fr.src = m.lat
+		if m.lat != nil && nframes%relaySampleEvery == 0 {
+			if l, _, err := wire.DecodeTransmissionInto(&scratch, sub.Schema(), labels[:0], buf[8:]); err == nil {
+				labels = l
+				fr.ts = scratch.TS.UnixNano()
 			}
-			leg.lastOffset.Store(binary.LittleEndian.Uint64(buf))
-			leg.seenOffset.Store(true)
-			payload := buf[8:]
-			leg.mgr.s.ctr.fedRelayFrames.Add(1)
-			fr := stash.get(runMax-len(run), frameHeaderLen+len(buf))
-			fr.buf = endFrame(append(beginFrame(fr.buf, kind), buf...))
-			fr.src = leg.mgr.lat
-			if leg.mgr.lat != nil && nframes%relaySampleEvery == 0 {
-				if l, _, err := wire.DecodeTransmissionInto(&scratch, leg.schema, labels[:0], payload); err == nil {
-					labels = l
-					fr.ts = scratch.TS.UnixNano()
-				}
-			}
-			nframes++
-			run = append(run, fr)
-			if len(run) < runMax && frameBuffered(br) {
-				continue // the next frame is already here: extend the run
-			}
-			run = leg.fanout(run)
-		case FrameQoS:
-			// The core degraded (or restored) the group's effective
-			// quality; forward the announcement to every member.
-			if scale, err := DecodeQoS(buf); err == nil {
-				leg.forwardQoS(scale)
-			}
-		case FrameHeartbeat:
-			// Members heartbeat on their own writer's idle timer.
-		case FrameGoodbye:
-			if leg.closing.Load() {
-				return relayClosed
-			}
-			if string(buf) == goodbyeDrainTag {
-				return relayRedial
-			}
-			return relayFinish
-		case FrameError:
-			leg.mgr.s.lg.Warn("upstream leg error", "source", leg.key.source, "app", leg.key.app, "err", string(buf))
-			return relayRedial
 		}
+		nframes++
+		run = append(run, fr)
+		if len(run) < runMax && frameBuffered(sub.br) {
+			continue // the next frame is already here: extend the run
+		}
+		run = leg.fanout(run)
 	}
 }
 
@@ -437,17 +513,12 @@ const relaySampleEvery = 8
 // fanout hands a run of reconstructed frames to every local member with
 // the core sink's discipline: each frame was encoded once into a
 // recycled refcounted frame, is retained per member, and each member
-// gets the whole run in one queue hand-off. The member list is copied
-// once per run, under the lock, so a slow member blocking under
-// PolicyBlock never holds up a concurrent detach. It returns run emptied.
+// gets the whole run in one queue hand-off. It returns run emptied.
 func (leg *relayLeg) fanout(run []*frame) []*frame {
 	if len(run) == 0 {
 		return run
 	}
-	leg.mu.Lock()
-	members := append(leg.scratch[:0], leg.members...)
-	leg.scratch = members
-	leg.mu.Unlock()
+	members := leg.snapshot()
 	if len(members) == 0 {
 		for _, fr := range run {
 			fr.retain(1)
@@ -470,13 +541,18 @@ func (leg *relayLeg) fanout(run []*frame) []*frame {
 	return run[:0]
 }
 
+// snapshot copies the member list into the run loop's scratch, so sends
+// run outside the lock and a slow member never holds up a detach.
+func (leg *relayLeg) snapshot() []*subscriber {
+	leg.mu.Lock()
+	defer leg.mu.Unlock()
+	leg.scratch = append(leg.scratch[:0], leg.members...)
+	return leg.scratch
+}
+
 // forwardQoS mirrors an upstream QoS announcement to every member.
 func (leg *relayLeg) forwardQoS(scale float64) {
-	leg.mu.Lock()
-	members := append(leg.scratch[:0], leg.members...)
-	leg.scratch = members
-	leg.mu.Unlock()
-	for _, sub := range members {
+	for _, sub := range leg.snapshot() {
 		sub.QoSApplied(scale)
 	}
 }
@@ -493,72 +569,6 @@ func (leg *relayLeg) finishMembers() {
 	}
 }
 
-// redial re-establishes the upstream leg after a drain goodbye, an
-// error, or a rebalance-forced disconnect, with exponential backoff.
-// Against a durable core it resumes from lastOffset+1 — the splice
-// fence on the core makes the replayed tail plus the live stream
-// gapless and duplicate-free — and falls back to a live subscribe when
-// resume is impossible (non-durable core, or the source moved to a
-// core whose log does not contain the old offsets).
-func (leg *relayLeg) redial() bool {
-	m := leg.mgr
-	backoff := 20 * time.Millisecond
-	for {
-		if leg.closing.Load() {
-			return false
-		}
-		core, ok := m.s.ownerOf(leg.key.source)
-		if !ok {
-			return false
-		}
-		if core.Name != leg.coreName {
-			// The source moved: offsets name positions in the old core's
-			// log and mean nothing on the new one. Rejoin live; the
-			// rebalance protocol quiesces publishers across the move, so
-			// the live rejoin loses nothing.
-			leg.seenOffset.Store(false)
-		}
-		resume := leg.seenOffset.Load()
-		conn, payload, err := leg.dialUpstream(core, resume)
-		if err == nil {
-			if schema, derr := DecodeSchema(payload); derr == nil {
-				leg.schema = schema
-			}
-			leg.mu.Lock()
-			if leg.closing.Load() {
-				leg.mu.Unlock()
-				conn.Close()
-				return false
-			}
-			leg.conn, leg.coreName = conn, core.Name
-			leg.mu.Unlock()
-			m.s.ctr.fedLegRedials.Add(1)
-			if resume {
-				m.s.ctr.fedLegResumes.Add(1)
-			}
-			m.s.lg.Info("upstream leg re-established", "source", leg.key.source, "app", leg.key.app,
-				"core", core.Name, "resume", resume)
-			return true
-		}
-		if resume && errors.Is(err, ErrResumeUnavailable) {
-			// The core came back without its log (or without durability);
-			// a live rejoin is the best remaining contract.
-			leg.seenOffset.Store(false)
-			continue
-		}
-		select {
-		case <-leg.bye:
-			return false
-		case <-m.s.stop:
-			return false
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
-		}
-	}
-}
-
 // shutdown tears down every leg during server drain: upstream conns
 // close (the cores clean their sessions on disconnect), run loops
 // exit, and every local member's stream finishes with the drain-tagged
@@ -568,25 +578,18 @@ func (m *relayMgr) shutdown() {
 	m.closed = true
 	legs := make([]*relayLeg, 0, len(m.legs))
 	for _, leg := range m.legs {
+		leg.mu.Lock()
+		leg.retire(legClosing)
+		if leg.sub != nil {
+			leg.sub.conn.Close()
+		}
+		leg.mu.Unlock()
+		leg.cancel()
 		legs = append(legs, leg)
 	}
-	m.legs = make(map[legKey]*relayLeg)
 	m.mu.Unlock()
 	for _, leg := range legs {
-		if leg.closing.CompareAndSwap(false, true) {
-			// Lost to a concurrent last-member detach otherwise: it owns
-			// bye, and its teardown closes the leg on its own.
-			close(leg.bye)
-		}
-		leg.mu.Lock()
-		conn := leg.conn
-		leg.mu.Unlock()
-		if conn != nil {
-			conn.Close()
-		}
-	}
-	for _, leg := range legs {
-		<-leg.done
+		leg.await()
 		leg.finishMembers()
 	}
 }
@@ -640,8 +643,8 @@ func (s *Server) serveEdgeSubscriber(sub *subscriber, h SubHello, spec quality.S
 		if leg.attach(sub) {
 			break
 		}
-		// The leg closed between lookup and attach (last member left);
-		// ensureLeg will wait out the teardown and dial a fresh one.
+		// The leg finished or began closing between lookup and attach;
+		// ensureLeg dials a fresh one.
 	}
 	if err := WriteFrame(conn, FrameHelloOK, sub.leg.schemaPayload); err != nil {
 		s.removeSubscriber(sub)
@@ -732,13 +735,15 @@ func (s *Server) UpdatePeers(cores []federate.Node) error {
 	for _, leg := range legs {
 		owner := topo.Owner(leg.key.source)
 		leg.mu.Lock()
-		conn := leg.conn
-		stale := conn != nil && leg.coreName != owner.Name
+		up := leg.sub
+		stale := up != nil && leg.coreName != owner.Name
 		leg.mu.Unlock()
 		if stale {
-			// Cutting the connection sends the run loop through redial,
-			// which re-resolves the owner and rejoins there.
-			conn.Close()
+			// Cutting the connection, with no goodbye that could be
+			// mistaken for the source finishing, sends the run loop
+			// through the redial, which re-resolves the owner and
+			// rejoins there.
+			up.conn.Close()
 			moved++
 		}
 	}

@@ -108,7 +108,7 @@ func TestFramePoolBalancedAcrossFederatedTeardown(t *testing.T) {
 			}
 			const tuples = 20000
 			sr := stepSeries(t, tuples, 0)
-			pub, err := DialPublisher(core.Addr().String(), "s1", sr.Schema())
+			pub, err := DialPublisherTimeout(core.Addr().String(), "s1", sr.Schema(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestFramePoolBalancedAcrossFederatedTeardown(t *testing.T) {
 				for m := 0; m < 2; m++ {
 					// One group per edge: an app name is unique per source
 					// at the core, whichever edge relays it.
-					sub, err := DialSubscriber(edge.Addr().String(), fmt.Sprintf("g%d", i), "s1", "DC1(v, 0.5, 0)")
+					sub, err := DialSubscriberOpts(edge.Addr().String(), fmt.Sprintf("g%d", i), "s1", "DC1(v, 0.5, 0)", SubDialOpts{})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -63,7 +63,7 @@ func TestHandshakeLatencyUnderIdleLoad(t *testing.T) {
 	lats := make([]time.Duration, 0, probes)
 	for i := 0; i < probes; i++ {
 		start := time.Now()
-		pub, err := DialPublisher(addr, fmt.Sprintf("probe%d", i), schema)
+		pub, err := DialPublisherTimeout(addr, fmt.Sprintf("probe%d", i), schema, 0)
 		if err != nil {
 			t.Fatalf("handshake %d under idle load: %v", i, err)
 		}
@@ -105,7 +105,7 @@ func TestExpiryUnderChurn(t *testing.T) {
 	const survivors = 8
 	const silent = 8
 	for i := 0; i < silent; i++ {
-		pub, err := DialPublisher(addr, fmt.Sprintf("quiet%d", i), schema)
+		pub, err := DialPublisherTimeout(addr, fmt.Sprintf("quiet%d", i), schema, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestExpiryUnderChurn(t *testing.T) {
 	}
 	hbPubs := make([]*Publisher, survivors)
 	for i := range hbPubs {
-		pub, err := DialPublisher(addr, fmt.Sprintf("hb%d", i), schema)
+		pub, err := DialPublisherTimeout(addr, fmt.Sprintf("hb%d", i), schema, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestExpiryUnderChurn(t *testing.T) {
 				if i%2 == 0 {
 					source = fmt.Sprintf("quiet%d", (g+i)%silent)
 				}
-				sub, err := DialSubscriber(addr, fmt.Sprintf("churn%d", g), source, "DC1(v, 0.5, 0)")
+				sub, err := DialSubscriberOpts(addr, fmt.Sprintf("churn%d", g), source, "DC1(v, 0.5, 0)", SubDialOpts{})
 				if err != nil {
 					continue // the source may just have expired
 				}

@@ -70,7 +70,7 @@ func stepSeries(t *testing.T, n, offset int) *tuple.Series {
 // publishSeries streams a whole series then closes the publisher.
 func publishSeries(t *testing.T, addr, source string, sr *tuple.Series) {
 	t.Helper()
-	pub, err := DialPublisher(addr, source, sr.Schema())
+	pub, err := DialPublisherTimeout(addr, source, sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,18 +107,18 @@ func TestPublishSubscribeEndToEnd(t *testing.T) {
 	addr := s.Addr().String()
 	sr := namosSeries(t, 300)
 
-	pub, err := DialPublisher(addr, "buoy", sr.Schema())
+	pub, err := DialPublisherTimeout(addr, "buoy", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subA, err := DialSubscriber(addr, "A", "buoy", "DC1(fluoro, 0.3, 0.15)")
+	subA, err := DialSubscriberOpts(addr, "A", "buoy", "DC1(fluoro, 0.3, 0.15)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := subA.Schema().String(), sr.Schema().String(); got != want {
 		t.Fatalf("handshake schema %s, want %s", got, want)
 	}
-	subB, err := DialSubscriber(addr, "B", "buoy", "DC1(fluoro, 0.5, 0.25)")
+	subB, err := DialSubscriberOpts(addr, "B", "buoy", "DC1(fluoro, 0.5, 0.25)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestPublishSubscribeEndToEnd(t *testing.T) {
 }
 
 // TestBatchPublishRecvInto drives the batched client paths end to end:
-// PublishNowBatch ships whole bursts in one write (one server-side ring
+// PublishBatch ships whole bursts in one write (one server-side ring
 // submission per run) and RecvInto receives into reused storage; every
 // tuple must arrive exactly once, in order, with interned labels.
 func TestBatchPublishRecvInto(t *testing.T) {
@@ -173,11 +173,11 @@ func TestBatchPublishRecvInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := DialPublisher(addr, "burst", schema)
+	pub, err := DialPublisherTimeout(addr, "burst", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := DialSubscriber(addr, "A", "burst", "DC1(v, 0.5, 0)")
+	sub, err := DialSubscriberOpts(addr, "A", "burst", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,23 +204,26 @@ func TestBatchPublishRecvInto(t *testing.T) {
 		}
 	}()
 	// Mixed burst sizes, including a single-tuple batch and one empty.
-	if err := pub.PublishNowBatch(nil); err != nil {
+	if err := pub.PublishBatch(nil); err != nil {
 		t.Fatal(err)
 	}
-	vals := make([][]float64, 0, 64)
-	backing := make([]float64, 64)
+	batch := make([]*tuple.Tuple, 0, 64)
+	start := time.Now()
 	n := 0
 	for n < tuples {
 		k := 1 + n%64
 		if n+k > tuples {
 			k = tuples - n
 		}
-		vals = vals[:0]
-		for j := 0; j < k; j++ {
-			backing[j] = float64(n + j)
-			vals = append(vals, backing[j:j+1])
+		batch = batch[:0]
+		for j := n; j < n+k; j++ {
+			tp, err := tuple.New(schema, j, start.Add(time.Duration(j)*time.Millisecond), []float64{float64(j)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch = append(batch, tp)
 		}
-		if err := pub.PublishNowBatch(vals); err != nil {
+		if err := pub.PublishBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 		n += k
@@ -293,13 +296,13 @@ func TestNetworkedEquivalence(t *testing.T) {
 	// before the publisher streams.
 	s := startServer(t, Config{})
 	addr := s.Addr().String()
-	pub, err := DialPublisher(addr, "buoy", sr.Schema())
+	pub, err := DialPublisherTimeout(addr, "buoy", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	subs := make([]*Subscriber, len(specs))
 	for i, sp := range specs {
-		subs[i], err = DialSubscriber(addr, sp.app, "buoy", sp.spec)
+		subs[i], err = DialSubscriberOpts(addr, sp.app, "buoy", sp.spec, SubDialOpts{})
 		if err != nil {
 			t.Fatalf("subscribing %s: %v", sp.app, err)
 		}
@@ -348,29 +351,29 @@ func TestHandshakeRejections(t *testing.T) {
 	addr := s.Addr().String()
 	sr := stepSeries(t, 1, 0)
 
-	if _, err := DialSubscriber(addr, "A", "ghost", "DC1(v, 0.5, 0)"); err == nil {
+	if _, err := DialSubscriberOpts(addr, "A", "ghost", "DC1(v, 0.5, 0)", SubDialOpts{}); err == nil {
 		t.Fatal("subscribing to unknown source succeeded")
 	}
-	pub, err := DialPublisher(addr, "src", sr.Schema())
+	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	if _, err := DialPublisher(addr, "src", sr.Schema()); err == nil {
+	if _, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0); err == nil {
 		t.Fatal("duplicate source name succeeded")
 	}
-	if _, err := DialSubscriber(addr, "A", "src", "DC1(nope, 0.5, 0)"); err == nil {
+	if _, err := DialSubscriberOpts(addr, "A", "src", "DC1(nope, 0.5, 0)", SubDialOpts{}); err == nil {
 		t.Fatal("subscribing with unknown attribute succeeded")
 	}
-	if _, err := DialSubscriber(addr, "A", "src", "garbage"); err == nil {
+	if _, err := DialSubscriberOpts(addr, "A", "src", "garbage", SubDialOpts{}); err == nil {
 		t.Fatal("subscribing with malformed spec succeeded")
 	}
-	subA, err := DialSubscriber(addr, "A", "src", "DC1(v, 0.5, 0)")
+	subA, err := DialSubscriberOpts(addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer subA.Close()
-	if _, err := DialSubscriber(addr, "A", "src", "DC1(v, 0.5, 0)"); err == nil {
+	if _, err := DialSubscriberOpts(addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{}); err == nil {
 		t.Fatal("duplicate app name succeeded")
 	}
 	if s.Counters().HandshakeRejects == 0 {
@@ -420,7 +423,7 @@ func TestSlowConsumerDrop(t *testing.T) {
 	addr := s.Addr().String()
 	sr := wideSeries(t, n)
 
-	pub, err := DialPublisher(addr, "src", sr.Schema())
+	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,12 +480,12 @@ func TestSourceExpiry(t *testing.T) {
 	addr := s.Addr().String()
 	sr := stepSeries(t, 10, 0)
 
-	pub, err := DialPublisher(addr, "src", sr.Schema())
+	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	sub, err := DialSubscriber(addr, "A", "src", "DC1(v, 0.5, 0)")
+	sub, err := DialSubscriberOpts(addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,11 +526,11 @@ func TestGracefulShutdown(t *testing.T) {
 	addr := s.Addr().String()
 	n := 500
 	sr := stepSeries(t, n, 0)
-	pub, err := DialPublisher(addr, "src", sr.Schema())
+	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := DialSubscriber(addr, "A", "src", "DC1(v, 0.5, 0)")
+	sub, err := DialSubscriberOpts(addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,11 +567,11 @@ func TestDrainGoodbyeTagged(t *testing.T) {
 	// A source-finish end must stay untagged.
 	s1 := startServer(t, Config{})
 	sr := stepSeries(t, 10, 0)
-	pub1, err := DialPublisher(s1.Addr().String(), "src", sr.Schema())
+	pub1, err := DialPublisherTimeout(s1.Addr().String(), "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub1, err := DialSubscriber(s1.Addr().String(), "A", "src", "DC1(v, 0.5, 0)")
+	sub1, err := DialSubscriberOpts(s1.Addr().String(), "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,11 +603,11 @@ func TestDrainGoodbyeTagged(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s2.Shutdown(ctx) })
-	pub, err := DialPublisher(s2.Addr().String(), "src", sr.Schema())
+	pub, err := DialPublisherTimeout(s2.Addr().String(), "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub2, err := DialSubscriber(s2.Addr().String(), "A", "src", "DC1(v, 0.5, 0)")
+	sub2, err := DialSubscriberOpts(s2.Addr().String(), "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,7 +698,7 @@ func TestMetricsEndpoints(t *testing.T) {
 func TestPublisherTimestampValidation(t *testing.T) {
 	s := startServer(t, Config{})
 	sr := stepSeries(t, 2, 0)
-	pub, err := DialPublisher(s.Addr().String(), "src", sr.Schema())
+	pub, err := DialPublisherTimeout(s.Addr().String(), "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

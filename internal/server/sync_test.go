@@ -40,7 +40,7 @@ func TestPublisherSyncBarrier(t *testing.T) {
 	addr := srv.Addr().String()
 	ctx := syncCtx(t)
 	schema := tuple.MustSchema("v")
-	pub, err := DialPublisher(addr, "src", schema)
+	pub, err := DialPublisherTimeout(addr, "src", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPublisherSyncBarrier(t *testing.T) {
 	// The join lands at the barrier: the server has submitted all 64
 	// tuples to the ring before the subscriber's AddFilter control could
 	// enqueue.
-	sub, err := DialSubscriber(addr, "late", "src", "DC1(v, 0.5, 0)")
+	sub, err := DialSubscriberOpts(addr, "late", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +104,12 @@ func TestSubscriberLeaveAck(t *testing.T) {
 	addr := srv.Addr().String()
 	ctx := syncCtx(t)
 	schema := tuple.MustSchema("v")
-	pub, err := DialPublisher(addr, "src", schema)
+	pub, err := DialPublisherTimeout(addr, "src", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 8; round++ {
-		sub, err := DialSubscriber(addr, "app", "src", "DC1(v, 0.5, 0)")
+		sub, err := DialSubscriberOpts(addr, "app", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 		if err != nil {
 			t.Fatalf("round %d: subscribe: %v", round, err)
 		}
@@ -138,7 +138,7 @@ func TestSyncAfterShutdownReportsEnd(t *testing.T) {
 	}
 	addr := srv.Addr().String()
 	schema := tuple.MustSchema("v")
-	pub, err := DialPublisher(addr, "src", schema)
+	pub, err := DialPublisherTimeout(addr, "src", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +163,13 @@ func TestLeaveManySubscribers(t *testing.T) {
 	addr := srv.Addr().String()
 	ctx := syncCtx(t)
 	schema := tuple.MustSchema("v")
-	pub, err := DialPublisher(addr, "src", schema)
+	pub, err := DialPublisherTimeout(addr, "src", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	subs := make([]*Subscriber, 12)
 	for i := range subs {
-		if subs[i], err = DialSubscriber(addr, fmt.Sprintf("app%d", i), "src", "DC1(v, 0.5, 0)"); err != nil {
+		if subs[i], err = DialSubscriberOpts(addr, fmt.Sprintf("app%d", i), "src", "DC1(v, 0.5, 0)", SubDialOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}

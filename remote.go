@@ -534,50 +534,32 @@ func (s *remoteSub) end(err error) {
 // bounded by ctx. Against a durable server it resumes from the last
 // delivered offset (or the subscription's original resume point if
 // nothing was delivered yet), splicing history and live stream with no
-// gap and no duplicate. A server without a durable log rejects the
-// resume; the redial then falls back to a plain live re-subscription.
+// gap and no duplicate. A server that cannot replay (no durable log, an
+// offset past the log head, or an edge node whose upstream leg owns the
+// resume state) rejects the resume; the redial then falls back to a plain
+// live re-subscription, unless the caller asked for the resume point.
 func (s *remoteSub) redial(ctx context.Context) error {
-	bo := s.r.cfg.reconnect
 	_ = s.sub.Load().Close()
-	resumeFromSeen := s.seen
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		o := server.SubDialOpts{Queue: s.queue, Timeout: dialTimeoutFor(ctx, s.r.cfg.dialTimeout), RecvBuffer: s.recvBuffer}
-		switch {
-		case resumeFromSeen:
-			o.Resume, o.ResumeFrom = true, s.lastOffset+1
-		case s.origResume:
-			o.Resume, o.ResumeFrom = true, s.origFrom
-		}
-		ss, err := server.DialSubscriberOpts(s.r.addr, s.app, s.source, s.specStr, o)
-		if err != nil {
-			if resumeFromSeen && !s.origResume && errors.Is(err, server.ErrResumeUnavailable) {
-				// The server cannot replay: no durable log (e.g. it was
-				// restarted without one), the offset is past the log head,
-				// or the session rides an edge node whose upstream leg owns
-				// the resume state. Fall back to a plain live
-				// re-subscription rather than never reconnecting.
-				resumeFromSeen = false
-				continue
-			}
-			// Everything else retries until ctx expires: the server may be
-			// restarting (connection refused), the source may not have
-			// reattached yet (unknown source), or the server may not have
-			// noticed the old session die (already subscribed).
-			if wErr := backoffWait(ctx, bo, attempt); wErr != nil {
-				return fmt.Errorf("gasf: reconnecting subscription %s/%s: %w (last dial error: %v)", s.app, s.source, wErr, err)
-			}
-			continue
-		}
-		s.sub.Store(ss)
-		if !s.r.track(s, ss.Close) {
-			ss.Close()
-			return errBrokerClosed
-		}
-		return nil
+	from := s.origFrom
+	if s.seen {
+		from = s.lastOffset + 1
 	}
+	ss, _, err := server.Resubscribe(ctx, server.Resubscription{
+		App: s.app, Source: s.source, Spec: s.specStr,
+		Opts:   server.SubDialOpts{Queue: s.queue, Timeout: s.r.cfg.dialTimeout, RecvBuffer: s.recvBuffer},
+		Resume: s.seen || s.origResume, From: from, LiveFallback: !s.origResume,
+		Target: func() (string, bool) { return s.r.addr, false },
+		Delay:  s.r.cfg.reconnect.delay,
+	})
+	if err != nil {
+		return err
+	}
+	s.sub.Store(ss)
+	if !s.r.track(s, ss.Close) {
+		ss.Close()
+		return errBrokerClosed
+	}
+	return nil
 }
 
 // Close leaves the group and waits for the server's departure ack, so a
