@@ -125,12 +125,15 @@ func TestStepAllocsBounded(t *testing.T) {
 // iteration, so ns/op and allocs/op are the benchmark harness's
 // core.step_ns_per_tuple and core.allocs_per_tuple on embedded_group;
 // pending-sets/op is the mean number of closed sets the region tracker
-// holds after a Step.
+// holds after a Step, and greedy-ns/incidence the measured greedy time per
+// counted incidence, the rate greedyNsPerIncidence stands for.
 func BenchmarkStepGroup12(b *testing.B) {
 	sr, build := group12(b, 10000, 5000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	pending := 0
+	var greedy time.Duration
+	incidences := 0
 	for done := 0; done < b.N; {
 		b.StopTimer()
 		e, err := NewEngine(build(), Options{})
@@ -144,8 +147,60 @@ func BenchmarkStepGroup12(b *testing.B) {
 			}
 			pending += e.tracker.PendingSets()
 		}
+		greedy += e.result.Stats.GreedyCPU
+		incidences += e.result.Stats.Work.Incidences
 	}
 	b.ReportMetric(float64(pending)/float64(b.N), "pending-sets/op")
+	if incidences > 0 {
+		b.ReportMetric(float64(greedy)/float64(incidences), "greedy-ns/incidence")
+	}
+}
+
+// BenchmarkStepPassAll steps a drained engine over the tcp_passall shape:
+// three slack-0 DC1 filters on a walk that rises by more than any delta
+// every tuple, so every tuple is every filter's output and each region is
+// one tuple in three singleton sets. ns/op is the engine's per-tuple
+// bookkeeping floor on the serving path.
+func BenchmarkStepPassAll(b *testing.B) {
+	s := tuple.MustSchema("v")
+	const n = 1 << 14
+	ts := make([]*tuple.Tuple, n)
+	v := 0.0
+	for i := range ts {
+		v += 1 + float64(i%7)/7
+		ts[i] = tuple.MustNew(s, i, trace.Epoch.Add(time.Duration(i)*time.Millisecond), []float64{v})
+	}
+	newEngine := func() *Engine {
+		e, err := NewDrainedEngine(Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, delta := range []float64{0.5, 0.25, 0.75} {
+			f, err := filter.NewDC1(fmt.Sprintf("p%d", i), "v", delta, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := e.AddFilter(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return e
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	released := 0
+	for done := 0; done < b.N; {
+		b.StopTimer()
+		e := newEngine()
+		b.StartTimer()
+		for i := 0; i < n && done < b.N; i, done = i+1, done+1 {
+			if err := e.Step(ts[i]); err != nil {
+				b.Fatal(err)
+			}
+			released += len(e.Released())
+		}
+	}
+	b.ReportMetric(float64(released)/float64(b.N), "transmissions/op")
 }
 
 // TestSeqCounts covers the generational utility index directly, including

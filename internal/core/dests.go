@@ -18,15 +18,32 @@ import (
 // downstream may write to Transmission.Destinations. Slots move when the
 // membership changes, so AddFilter and RemoveFilter empty the table; the
 // lists already handed out stay valid.
+//
+// The bitset of an output is found without hashing a label: a closed set
+// carries its owner's slot, so its bit is a shift, and a staged output
+// carries the bitset of its labels (pendingOut.owners) to the release
+// that merges and counts it. Only a label that cannot be checked that
+// way — a set closed before a membership change, an output staged before
+// one — is looked up by name.
 
 // maxDestLists bounds the table. Past it — and for a group of more than
 // 64 filters, or a label of a filter that has left and is still owed
 // outputs — a transmission gets a list of its own.
 const maxDestLists = 256
 
-// ownerBit returns the slot bit of a current group member, 0 for any other
+// ownerBit returns the slot bit of a set's owner, 0 when the owner is not
+// a current member of the first 64 slots. The slot stamped on the set is
+// used while it still holds the owner; otherwise the owner is looked up.
+func (e *Engine) ownerBit(cs *filter.CandidateSet) uint64 {
+	if i := cs.Slot; i < 64 && i < len(e.ids) && e.ids[i] == cs.Owner {
+		return 1 << i
+	}
+	return e.labelBit(cs.Owner)
+}
+
+// labelBit returns the slot bit of a current group member, 0 for any other
 // label.
-func (e *Engine) ownerBit(id string) uint64 {
+func (e *Engine) labelBit(id string) uint64 {
 	if i, ok := e.slot[id]; ok && i < 64 {
 		return 1 << i
 	}
@@ -55,26 +72,27 @@ func (e *Engine) destList(owners uint64) []string {
 }
 
 // pickDests returns the sorted destination list of a greedy pick: the
-// owners of the undecided sets it was credited to, each once. It is nil
-// when the pick serves decided sets only.
-func (e *Engine) pickDests(sets []*filter.CandidateSet) []string {
+// owners of the undecided sets it was credited to, each once, and their
+// slot bitset, 0 when one of them is not a current member. The list is
+// nil when the pick serves decided sets only.
+func (e *Engine) pickDests(sets []*filter.CandidateSet) ([]string, uint64) {
 	var owners uint64
 	n, members := 0, true
 	for _, cs := range sets {
 		if !cs.Decided {
-			b := e.ownerBit(cs.Owner)
+			b := e.ownerBit(cs)
 			members = members && b != 0
 			owners |= b
 			n++
 		}
 	}
 	if n == 0 {
-		return nil
+		return nil, 0
 	}
-	if members {
-		if l := e.destList(owners); l != nil {
-			return l
-		}
+	if !members {
+		owners = 0
+	} else if l := e.destList(owners); l != nil {
+		return l, owners
 	}
 	dests := make([]string, 0, n)
 	for _, cs := range sets {
@@ -83,38 +101,61 @@ func (e *Engine) pickDests(sets []*filter.CandidateSet) []string {
 		}
 	}
 	slices.Sort(dests)
-	return dests
+	return dests, owners
 }
 
 // mergedDests returns the destination list of one transmission from the
-// outputs that share its tuple. When every label is a
+// outputs that share its tuple, and its slot bitset. When every label is a
 // current member named once, that is the canonical list of their union.
-// Otherwise the transmission gets a list of its own, repeats included: a
+// Otherwise the transmission gets a list of its own, repeats included — a
 // filter that decided two sets on one tuple in the same release is
-// delivered it twice.
-func (e *Engine) mergedDests(run []pendingOut) []string {
+// delivered it twice — and the bitset is 0.
+func (e *Engine) mergedDests(run []pendingOut) ([]string, uint64) {
 	var (
 		owners uint64
 		one    [1]string
 	)
-	n, exact := 0, true
+	exact := true
 	for i := range run {
+		if b := run[i].owners; b != 0 {
+			exact = exact && owners&b == 0
+			owners |= b
+			continue
+		}
 		for _, d := range run[i].labels(&one) {
-			b := e.ownerBit(d)
+			b := e.labelBit(d)
 			exact = exact && b != 0 && owners&b == 0
 			owners |= b
-			n++
 		}
 	}
 	if exact {
 		if l := e.destList(owners); l != nil {
-			return l
+			return l, owners
 		}
+	}
+	n := 0
+	for i := range run {
+		n += len(run[i].labels(&one))
 	}
 	dests := make([]string, 0, n)
 	for i := range run {
 		dests = append(dests, run[i].labels(&one)...)
 	}
 	slices.Sort(dests)
-	return dests
+	if !exact {
+		owners = 0
+	}
+	return dests, owners
+}
+
+// foldDelivered adds the deliveries counted by slot to Stats.PerFilter
+// and restarts the count. It runs before the slots move and wherever the
+// map is read.
+func (e *Engine) foldDelivered() {
+	for i, n := range e.delivered {
+		if n != 0 {
+			e.result.Stats.PerFilter[e.ids[i]] += n
+			e.delivered[i] = 0
+		}
+	}
 }

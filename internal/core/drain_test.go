@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 	"time"
 	"unsafe"
 
 	"gasf/internal/filter"
+	"gasf/internal/tuple"
 )
 
 // drainConfigs are the option sets the drained-engine and pruning tests
@@ -269,6 +271,130 @@ func TestDestinationListsShared(t *testing.T) {
 	for k, dests := range snapshot {
 		if key(dests) != k {
 			t.Fatalf("list %s changed to %v after the membership change", k, dests)
+		}
+	}
+}
+
+// inert is a filter that admits nothing. Placed ahead of a group, 64 of
+// them push every real filter past the slots an owner bitset covers, so
+// the engine finds every destination by label: the path the slot-indexed
+// bookkeeping must agree with.
+type inert struct{ id string }
+
+func (f inert) ID() string                                  { return f.id }
+func (f inert) Spec() string                                { return "inert" }
+func (f inert) Process(*tuple.Tuple) (filter.Event, error)  { return filter.Event{}, nil }
+func (f inert) Cut() (*filter.CandidateSet, []*tuple.Tuple) { return nil, nil }
+func (f inert) Stateful() bool                              { return false }
+func (f inert) ObserveChosen([]*tuple.Tuple) filter.Event   { return filter.Event{} }
+func (f inert) SelfInterested() filter.SIFilter             { return nil }
+func (f inert) Reset()                                      {}
+
+// TestSlotBookkeepingMatchesLabels holds the slot-indexed destinations and
+// delivery counts to the label-keyed ones, under membership churn while
+// outputs are staged: a batch buffer spanning the change, and the per-step
+// buffer a departing filter's cut fills. A drained and a retaining engine
+// on the group itself must release what an engine whose filters all sit
+// past slot 64 releases, transmission by transmission, and count the same
+// deliveries per filter — which also match the labels of what was
+// released.
+func TestSlotBookkeepingMatchesLabels(t *testing.T) {
+	sr, build := group12(t, 3000, 43)
+	// Departures from the front, the middle and the end of the group, and
+	// two rejoins under a departed label, which take the last slot.
+	leave := map[int]string{500: "app03", 900: "app00", 1100: "app11", 1300: "app03"}
+	join := map[int]string{700: "app03", 1200: "app00"}
+	churnAt := func(t *testing.T, e *Engine, i int) (staged int) {
+		t.Helper()
+		var err error
+		if id, ok := leave[i]; ok {
+			staged = len(e.batchBuf)
+			err = e.RemoveFilter(id)
+		} else if id, ok := join[i]; ok {
+			var f filter.Filter
+			if f, err = filter.NewDC1(id, "fluoro", 0.4, 0.2); err == nil {
+				staged = len(e.batchBuf)
+				err = e.AddFilter(f)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return staged
+	}
+	for _, alg := range []Algorithm{RG, PS} {
+		for _, opts := range []Options{
+			{Algorithm: alg, Strategy: Batched, BatchSize: 16},
+			{Algorithm: alg, Strategy: Batched, BatchSize: 7, Cuts: true, MaxDelay: 60 * time.Millisecond},
+			{Algorithm: alg, Strategy: PerCandidateSet},
+			{Algorithm: alg, Strategy: PerCandidateSet, Cuts: true, MaxDelay: 60 * time.Millisecond},
+		} {
+			t.Run(fmt.Sprintf("%v/%v/cuts=%v", opts.Algorithm, opts.Strategy, opts.Cuts), func(t *testing.T) {
+				var engines [3]*Engine
+				for k, mk := range []func(Options) (*Engine, error){NewDrainedEngine, NewDynamicEngine, NewDynamicEngine} {
+					e, err := mk(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if k == 2 {
+						for i := range 64 {
+							if err := e.AddFilter(inert{fmt.Sprintf("inert%02d", i)}); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					for _, f := range build() {
+						if err := e.AddFilter(f); err != nil {
+							t.Fatal(err)
+						}
+					}
+					engines[k] = e
+				}
+				var released [3][]Transmission
+				staged := 0
+				for i := 0; i < sr.Len(); i++ {
+					for k, e := range engines {
+						staged += churnAt(t, e, i)
+						released[k] = append(released[k], e.Released()...)
+						if err := e.Step(sr.At(i)); err != nil {
+							t.Fatal(err)
+						}
+						released[k] = append(released[k], e.Released()...)
+					}
+				}
+				for k, e := range engines {
+					if err := e.Finish(); err != nil {
+						t.Fatal(err)
+					}
+					released[k] = append(released[k], e.Released()...)
+				}
+				if opts.Strategy == Batched && staged == 0 {
+					t.Fatal("degenerate case: no output was staged at a membership change")
+				}
+				want := released[2]
+				labels := make(map[string]int)
+				for _, tr := range want {
+					for _, d := range tr.Destinations {
+						labels[d]++
+					}
+				}
+				for k, name := range []string{"drained", "retaining", "label-keyed"} {
+					trs := released[k]
+					if len(trs) != len(want) {
+						t.Fatalf("%s engine released %d transmissions, the label-keyed one %d", name, len(trs), len(want))
+					}
+					for i := range want {
+						if trs[i].Tuple != want[i].Tuple || !trs[i].ReleasedAt.Equal(want[i].ReleasedAt) ||
+							!slices.Equal(trs[i].Destinations, want[i].Destinations) {
+							t.Fatalf("%s engine: transmission %d is %d -> %v, label-keyed %d -> %v", name, i,
+								trs[i].Tuple.Seq, trs[i].Destinations, want[i].Tuple.Seq, want[i].Destinations)
+						}
+					}
+					if got := engines[k].Result().Stats.PerFilter; !maps.Equal(got, labels) {
+						t.Fatalf("%s engine: PerFilter %v, labels released %v", name, got, labels)
+					}
+				}
+			})
 		}
 	}
 }

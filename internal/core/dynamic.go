@@ -59,8 +59,10 @@ func (e *Engine) AddFilter(f filter.Filter) error {
 	}
 	e.slot[f.ID()] = len(e.filters)
 	e.filters = append(e.filters, f)
+	e.ids = append(e.ids, f.ID())
+	e.delivered = append(e.delivered, 0)
 	e.open = append(e.open, nil)
-	clear(e.destLists) // keyed by the membership that just changed
+	e.membershipChanged()
 	return nil
 }
 
@@ -84,13 +86,16 @@ func (e *Engine) RemoveFilter(id string) error {
 	if err := e.cutFilter(idx); err != nil {
 		return err
 	}
+	e.foldDelivered()
 	e.filters = append(e.filters[:idx], e.filters[idx+1:]...)
+	e.ids = append(e.ids[:idx], e.ids[idx+1:]...)
+	e.delivered = e.delivered[:len(e.filters)]
 	e.open = append(e.open[:idx], e.open[idx+1:]...)
 	delete(e.slot, id)
 	for i := idx; i < len(e.filters); i++ {
-		e.slot[e.filters[i].ID()] = i
+		e.slot[e.ids[i]] = i
 	}
-	clear(e.destLists) // keyed by the slots that just moved
+	e.membershipChanged()
 	if !e.started {
 		return nil
 	}
@@ -105,6 +110,14 @@ func (e *Engine) RemoveFilter(id string) error {
 		e.stepBuf = clearPending(e.stepBuf)
 	}
 	return nil
+}
+
+// membershipChanged drops what was keyed by the old slots: the canonical
+// destination lists and the bitsets of the outputs still staged.
+func (e *Engine) membershipChanged() {
+	clear(e.destLists)
+	forgetOwners(e.stepBuf)
+	forgetOwners(e.batchBuf)
 }
 
 // FilterIDs returns the IDs of the current group members, in group order.

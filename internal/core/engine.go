@@ -33,7 +33,7 @@ import (
 // the set's region is final, then in the tracker's scratch (the Region and
 // its Sets, valid until the tracker's next Ready or Flush) and the greedy
 // solver's while handleRegion decides it. The per-set bookkeeping
-// (Accounted, Decided, Picks) rides on the set. handleRegion ends by
+// (Slot, Accounted, Decided, Picks) rides on the set. handleRegion ends by
 // recycling every set of the region to its filter's free list: outputs,
 // results and the batch buffer hold tuples and owner labels, never sets,
 // so nothing may read a set pointer past that point. An engine owns its
@@ -52,9 +52,16 @@ type Engine struct {
 	// slot maps filter ID to its index in filters/open; rebuilt on the
 	// (rare) membership changes so the per-tuple path never hashes IDs.
 	slot map[string]int
+	// ids holds the filters' IDs by slot, for checking the slot a
+	// candidate set was stamped with (dests.go).
+	ids []string
+	// delivered counts deliveries per slot since they were last folded
+	// into Stats.PerFilter (foldDelivered).
+	delivered []int
 	// tracker accumulates closed sets into regions.
 	tracker region.Tracker
-	// predictor models greedy run time for timely cuts (§3.3).
+	// predictor models greedy run time for timely cuts (§3.3), from
+	// counted work (greedyNsPerIncidence).
 	predictor *predict.RunTimePredictor
 	// batchBuf holds outputs awaiting the next batch boundary.
 	batchBuf   []pendingOut
@@ -111,6 +118,18 @@ type Engine struct {
 	solver hitting.Solver
 }
 
+// clock is the time source of a retaining engine's CPU statistics, the
+// only clock reads an engine makes; a variable so tests can count and
+// slow the reads.
+var clock = time.Now
+
+// greedyNsPerIncidence converts the greedy's counted work, incidences of
+// its instance (Stats.Work), into the run time the cut predictor models.
+// Predicting from counted rather than measured work keeps cut decisions a
+// function of the input alone. BenchmarkStepGroup12's greedy-ns/incidence
+// metric measures the rate: 46–52 ns on a 2-CPU Xeon container.
+const greedyNsPerIncidence = 50 * time.Nanosecond
+
 type chosenRec struct {
 	seq int
 	at  time.Time
@@ -142,11 +161,17 @@ func newEngine(filters []filter.Filter, opts Options, allowEmpty bool) (*Engine,
 	}
 	cp := make([]filter.Filter, len(filters))
 	copy(cp, filters)
+	ids := make([]string, len(cp))
+	for i, f := range cp {
+		ids[i] = f.ID()
+	}
 	return &Engine{
 		filters:        cp,
 		opts:           opts,
 		open:           make([][]*tuple.Tuple, len(cp)),
 		slot:           slot,
+		ids:            ids,
+		delivered:      make([]int, len(cp)),
 		predictor:      predict.NewRunTimePredictor(opts.PredictWindow, opts.PredictMargin),
 		chosen:         make(map[int]time.Time),
 		pruneAt:        minPruneReleased,
@@ -164,7 +189,10 @@ func (e *Engine) Step(t *tuple.Tuple) error {
 	if e.started && !t.TS.After(e.lastTS) {
 		return fmt.Errorf("core: tuple %d timestamp %v not after previous %v", t.Seq, t.TS, e.lastTS)
 	}
-	start := time.Now()
+	var start time.Time
+	if !e.drain {
+		start = clock()
+	}
 	e.now = t.TS
 
 	// Stage one: every filter admits candidates (Fig 2.4). Under PS with
@@ -222,7 +250,10 @@ func (e *Engine) Step(t *tuple.Tuple) error {
 	}
 	e.started, e.lastTS = true, t.TS
 	e.result.Stats.Inputs++
-	e.result.Stats.CPU += time.Since(start)
+	e.result.Stats.Work.Process += len(e.filters)
+	if !e.drain {
+		e.result.Stats.CPU += clock().Sub(start)
+	}
 	return nil
 }
 
@@ -232,11 +263,15 @@ func (e *Engine) Finish() error {
 	if e.finished {
 		return nil
 	}
-	start := time.Now()
+	var start time.Time
+	if !e.drain {
+		start = clock()
+	}
 	for i, f := range e.filters {
 		cs, dismissed := f.Cut()
 		e.applyDismissals(i, dismissed)
 		if cs != nil {
+			cs.Slot = i
 			e.dropOpen(i, cs.Members)
 			if err := e.handleClosed(f, cs); err != nil {
 				return err
@@ -252,8 +287,9 @@ func (e *Engine) Finish() error {
 	}
 	e.releaseBatch()
 	e.finished = true
-	e.result.Stats.CPU += time.Since(start)
+	e.foldDelivered()
 	if !e.drain {
+		e.result.Stats.CPU += clock().Sub(start)
 		e.result.Stats.Latencies = latencies(e.result.Transmissions, e.result.Stats.Deliveries, e.opts.MulticastDelay)
 	}
 	return nil
@@ -261,8 +297,13 @@ func (e *Engine) Finish() error {
 
 // Result returns the accumulated transmissions and statistics. Call after
 // Finish for complete results. A drained engine's result holds the
-// statistics' counters only.
-func (e *Engine) Result() *Result { return &e.result }
+// statistics' counters only. Stats.PerFilter is brought up to date by
+// this call, by Finish and by membership changes; between them deliveries
+// are counted by slot.
+func (e *Engine) Result() *Result {
+	e.foldDelivered()
+	return &e.result
+}
 
 // Released returns the transmissions released since the previous call, in
 // release order; the shard runtime forwards them to its sink after every
@@ -320,6 +361,7 @@ func (e *Engine) apply(i int, f filter.Filter, t *tuple.Tuple, ev filter.Event) 
 			return nil
 		}
 		cs := ev.Closed
+		cs.Slot = i
 		e.dropOpen(i, cs.Members)
 		if !f.Stateful() {
 			return e.handleClosed(f, cs)
@@ -441,8 +483,9 @@ func (e *Engine) handleRegion(r *region.Region) error {
 		}
 		decided++
 		if e.opts.Strategy == EarliestRegion {
+			owners := e.ownerBit(cs)
 			for _, p := range cs.Picks {
-				held = append(held, pendingOut{t: p, dest: cs.Owner})
+				held = append(held, pendingOut{t: p, dest: cs.Owner, owners: owners})
 			}
 		}
 	}
@@ -504,14 +547,24 @@ func (e *Engine) decideRegion(r *region.Region, size, decided int, held []pendin
 		greedySets = append(greedySets, cs)
 	}
 	outs := e.regionOuts[:0]
-	start := time.Now()
-	_, err := e.solver.Greedy(greedySets, e.opts.Ties == PreferEarliest)
-	elapsed := time.Since(start)
+	var start time.Time
+	if !e.drain {
+		start = clock()
+	}
+	picks, err := e.solver.Greedy(greedySets, e.opts.Ties == PreferEarliest)
 	if err != nil {
 		err = fmt.Errorf("core: deciding region: %w", err)
 	} else {
-		e.result.Stats.GreedyCPU += elapsed
-		e.predictor.Observe(size, elapsed)
+		st := &e.result.Stats
+		if !e.drain {
+			st.GreedyCPU += clock().Sub(start)
+		}
+		work := e.solver.Incidences()
+		st.Work.Incidences += work
+		st.Work.Picks += len(picks)
+		if e.opts.Cuts && e.opts.Algorithm == RG {
+			e.predictor.Observe(size, time.Duration(work)*greedyNsPerIncidence)
+		}
 		for _, cs := range r.Sets {
 			if !cs.Decided && !cs.Accounted {
 				for _, m := range cs.Members {
@@ -524,14 +577,14 @@ func (e *Engine) decideRegion(r *region.Region, size, decided int, held []pendin
 		for _, pk := range e.solver.InOrder() {
 			// A pick's destinations are the owners of the undecided sets
 			// it was credited to.
-			dests := e.pickDests(pk.Sets)
+			dests, owners := e.pickDests(pk.Sets)
 			if dests == nil {
 				continue
 			}
 			for len(held) > 0 && held[0].t.Seq <= pk.Tuple.Seq {
 				outs, held = append(outs, held[0]), held[1:]
 			}
-			outs = append(outs, pendingOut{t: pk.Tuple, dests: dests})
+			outs = append(outs, pendingOut{t: pk.Tuple, dests: dests, owners: owners})
 		}
 		outs = append(outs, held...)
 	}
@@ -641,12 +694,14 @@ func (e *Engine) stageDecided(cs *filter.CandidateSet, picks []*tuple.Tuple) {
 	cs.Decided, cs.Picks = true, picks
 	switch e.opts.Strategy {
 	case PerCandidateSet:
+		owners := e.ownerBit(cs)
 		for _, p := range picks {
-			e.stepBuf = append(e.stepBuf, pendingOut{t: p, dest: cs.Owner})
+			e.stepBuf = append(e.stepBuf, pendingOut{t: p, dest: cs.Owner, owners: owners})
 		}
 	case Batched:
+		owners := e.ownerBit(cs)
 		for _, p := range picks {
-			e.batchBuf = append(e.batchBuf, pendingOut{t: p, dest: cs.Owner})
+			e.batchBuf = append(e.batchBuf, pendingOut{t: p, dest: cs.Owner, owners: owners})
 		}
 	}
 }
@@ -702,6 +757,7 @@ func (e *Engine) cutFilter(i int) error {
 	if cs == nil {
 		return nil
 	}
+	cs.Slot = i
 	e.dropOpen(i, cs.Members)
 	return e.handleClosed(f, cs)
 }

@@ -61,6 +61,8 @@ func TestEngineInvariantsProperty(t *testing.T) {
 	combos := []Options{
 		{Algorithm: RG},
 		{Algorithm: RG, Cuts: true, MaxDelay: 50 * time.Millisecond},
+		{Algorithm: RG, Cuts: true, MaxDelay: 20 * time.Millisecond, Strategy: PerCandidateSet},
+		{Algorithm: RG, Cuts: true, MaxDelay: 120 * time.Millisecond, Strategy: Batched, BatchSize: 16},
 		{Algorithm: RG, Strategy: Batched, BatchSize: 64},
 		{Algorithm: PS},
 		{Algorithm: PS, Strategy: PerCandidateSet},

@@ -539,7 +539,8 @@ func TestTieBreakAblation(t *testing.T) {
 	}
 }
 
-// TestRunDeterminism: identical runs produce identical transmissions.
+// TestRunDeterminism: identical runs produce identical transmissions, RG
+// with timely cuts included: its cuts follow stream time and counted work.
 func TestRunDeterminism(t *testing.T) {
 	sr, err := trace.NAMOS(trace.Config{N: 800, Seed: 3})
 	if err != nil {
@@ -550,22 +551,27 @@ func TestRunDeterminism(t *testing.T) {
 		f2, _ := filter.NewDC1("f2", "tmpr2", 0.07, 0.03)
 		return []filter.Filter{f1, f2}
 	}
-	for _, alg := range []Algorithm{RG, PS} {
-		a, err := Run(mk(), sr, Options{Algorithm: alg})
+	for _, opts := range []Options{
+		{Algorithm: RG},
+		{Algorithm: PS},
+		{Algorithm: RG, Cuts: true, MaxDelay: 60 * time.Millisecond},
+		{Algorithm: RG, Strategy: PerCandidateSet, Cuts: true, MaxDelay: 30 * time.Millisecond},
+	} {
+		a, err := Run(mk(), sr, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(mk(), sr, Options{Algorithm: alg})
+		b, err := Run(mk(), sr, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ra, rb := renderTransmissions(a.Transmissions), renderTransmissions(b.Transmissions)
 		if len(ra) != len(rb) {
-			t.Fatalf("%v: nondeterministic transmission count", alg)
+			t.Fatalf("%+v: nondeterministic transmission count", opts)
 		}
 		for i := range ra {
 			if ra[i] != rb[i] {
-				t.Fatalf("%v: nondeterministic transmission %d: %s vs %s", alg, i, ra[i], rb[i])
+				t.Fatalf("%+v: nondeterministic transmission %d: %s vs %s", opts, i, ra[i], rb[i])
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -52,19 +53,39 @@ type Stats struct {
 	// RegionTupleSum accumulates region sizes in tuples, for average
 	// region size diagnostics.
 	RegionTupleSum int
-	// CPU is the measured wall time of the engine's per-tuple
-	// processing; GreedyCPU is the share spent in hitting-set decisions
-	// (stage two), which feeds the run-time predictor.
-	CPU, GreedyCPU time.Duration
-	// Latencies holds one source-to-release latency sample per delivery
-	// (including the MulticastDelay constant), in release order. It is
-	// filled by Finish on a retaining engine, from Result.Transmissions;
-	// before Finish, and on a drained engine, it is empty.
-	Latencies []time.Duration
 	// MultiplexDisorder counts transmissions whose tuple precedes (by
 	// sequence) an already-released tuple — the disorder that eager
 	// output strategies introduce in the multiplexed stream (§3.4).
 	MultiplexDisorder int
+	// Work counts what the engine did; every engine keeps it, and the cut
+	// predictor reads it.
+	Work Work
+
+	// The statistics below are a retaining engine's: a drained engine
+	// (NewDrainedEngine) reads no clock and keeps no history, so they stay
+	// zero or empty there.
+
+	// CPU is the measured wall time of the engine's per-tuple
+	// processing; GreedyCPU is the share spent in hitting-set decisions
+	// (stage two).
+	CPU, GreedyCPU time.Duration
+	// Latencies holds one source-to-release latency sample per delivery
+	// (including the MulticastDelay constant), in release order. It is
+	// filled by Finish from Result.Transmissions; before Finish it is
+	// empty.
+	Latencies []time.Duration
+}
+
+// Work counts an engine's work in units that do not depend on the machine
+// or its load: two runs over the same input count the same.
+type Work struct {
+	// Process counts filter Process calls, one per filter per input.
+	Process int
+	// Incidences counts the (set, eligible member) pairs of the regions
+	// the greedy decided, the size of its instances.
+	Incidences int
+	// Picks counts the greedy's picks.
+	Picks int
 }
 
 // OIRatio returns output/input: distinct output tuples over input tuples.
@@ -120,6 +141,18 @@ type pendingOut struct {
 	t     *tuple.Tuple
 	dest  string
 	dests []string
+	// owners is the slot bitset of the labels when each is a current
+	// member named once, 0 when not, or when not known: a membership
+	// change zeroes it on the outputs still staged (forgetOwners).
+	owners uint64
+}
+
+// forgetOwners zeroes the slot bitsets of staged outputs, whose slots a
+// membership change has just moved; their release finds them by label.
+func forgetOwners(buf []pendingOut) {
+	for i := range buf {
+		buf[i].owners = 0
+	}
 }
 
 // labels returns the output's destination labels; one backs the
@@ -149,9 +182,9 @@ func (e *Engine) mergeRelease(outs []pendingOut, releasedAt time.Time) {
 		for same < len(outs) && outs[same].t.Seq == seq {
 			same++
 		}
-		dests := first.dests
+		dests, owners := first.dests, first.owners
 		if same > 1 || dests == nil {
-			dests = e.mergedDests(outs[:same])
+			dests, owners = e.mergedDests(outs[:same])
 		}
 		outs = outs[same:]
 		tr := Transmission{Tuple: t, Destinations: dests, ReleasedAt: releasedAt}
@@ -173,8 +206,14 @@ func (e *Engine) mergeRelease(outs []pendingOut, releasedAt time.Time) {
 			e.releasedQ = append(e.releasedQ, releasedRec{seq: seq, ts: t.TS.UnixNano()})
 			st.DistinctOutputs++
 		}
-		for _, d := range dests {
-			st.PerFilter[d]++
+		if owners != 0 {
+			for m := owners; m != 0; m &= m - 1 {
+				e.delivered[bits.TrailingZeros64(m)]++
+			}
+		} else {
+			for _, d := range dests {
+				st.PerFilter[d]++
+			}
 		}
 	}
 }

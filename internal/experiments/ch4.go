@@ -459,7 +459,7 @@ func Fig417GroupSize(cfg Config) (*Report, error) {
 
 // Fig418GroupSizeCPU regenerates Fig 4.18: CPU per batch of 100 tuples
 // grows roughly linearly with group size, group-aware costing about twice
-// self-interested.
+// self-interested. Each figure is the median of cpuRuns alternating runs.
 func Fig418GroupSizeCPU(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	sr, err := namosTrace(cfg)
@@ -477,14 +477,11 @@ func Fig418GroupSizeCPU(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		ga, err := runVariant(g, sr, variant{name: "RG", opts: core.Options{Algorithm: core.RG}})
+		rs, err := medianRuns(g, sr, []variant{{name: "RG", opts: core.Options{Algorithm: core.RG}}, {name: "SI", si: true}}, cpuRuns)
 		if err != nil {
 			return nil, err
 		}
-		si, err := runVariant(g, sr, variant{name: "SI", si: true})
-		if err != nil {
-			return nil, err
-		}
+		ga, si := rs[0], rs[1]
 		gaCPU := float64(ga.Stats.CPU) / float64(ga.Stats.Inputs) * 100 / float64(time.Millisecond)
 		siCPU := float64(si.Stats.CPU) / float64(si.Stats.Inputs) * 100 / float64(time.Millisecond)
 		ratio := math.Inf(1)
@@ -621,7 +618,8 @@ func Fig421to423Traces(cfg Config) (*Report, error) {
 }
 
 // Fig424SourceCPU regenerates Fig 4.24: CPU cost per tuple per source; the
-// group-aware overhead stays below ~50% extra for each source.
+// group-aware overhead stays below ~50% extra for each source. Each figure
+// is the median of cpuRuns alternating runs.
 func Fig424SourceCPU(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	series, groups, err := sourceWorkloads(cfg)
@@ -630,13 +628,14 @@ func Fig424SourceCPU(cfg Config) (*Report, error) {
 	}
 	tb := metrics.NewTable("source", "algorithm", "CPU/tuple (ms)")
 	vals := make(map[string]float64)
+	variants := fiveVariants(cfg.MulticastDelay)
 	for _, name := range []string{"cow", "seismic", "fire"} {
-		for _, v := range fiveVariants(cfg.MulticastDelay) {
-			res, err := runVariant(groups[name], series[name], v)
-			if err != nil {
-				return nil, err
-			}
-			cpu := float64(res.Stats.CPUPerTuple()) / float64(time.Millisecond)
+		rs, err := medianRuns(groups[name], series[name], variants, cpuRuns)
+		if err != nil {
+			return nil, err
+		}
+		for i, v := range variants {
+			cpu := float64(rs[i].Stats.CPUPerTuple()) / float64(time.Millisecond)
 			tb.AddRow(name, v.name, fmt.Sprintf("%.4f", cpu))
 			vals[name+"/"+v.name] = cpu
 		}

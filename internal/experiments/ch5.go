@@ -10,6 +10,7 @@ import (
 	"gasf/internal/core"
 	"gasf/internal/metrics"
 	"gasf/internal/quality"
+	"gasf/internal/tuple"
 )
 
 // Table52Specs regenerates Table 5.2: the ten filter groups of the
@@ -42,10 +43,7 @@ func Table52Specs(cfg Config) (*Report, error) {
 const cpuRuns = 9
 
 // runTable52 executes GA (RG) and SI for every Table 5.2 group, each
-// variant runs times. The outputs of a variant are the same in every run;
-// the returned run is the median by CPU. Every run starts from a
-// collected heap, so that none pays for another's garbage, and GA and SI
-// runs alternate, so that a slow stretch of the machine falls on both.
+// variant runs times, and returns the median runs by CPU (medianRuns).
 func runTable52(cfg Config, runs int) ([]quality.Group, []*core.Result, []*core.Result, error) {
 	sr, err := namosTrace(cfg)
 	if err != nil {
@@ -61,23 +59,40 @@ func runTable52(cfg Config, runs int) ([]quality.Group, []*core.Result, []*core.
 	}
 	var gas, sis []*core.Result
 	for _, g := range groups {
-		res := make([][]*core.Result, len(variants))
-		for range runs {
-			for i, v := range variants {
-				runtime.GC()
-				r, err := runVariant(g, sr, v)
-				if err != nil {
-					return nil, nil, nil, fmt.Errorf("%s: %w", g.Name, err)
-				}
-				res[i] = append(res[i], r)
-			}
+		rs, err := medianRuns(g, sr, variants, runs)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("%s: %w", g.Name, err)
 		}
-		for _, rs := range res {
-			slices.SortFunc(rs, func(a, b *core.Result) int { return cmp.Compare(a.Stats.CPU, b.Stats.CPU) })
-		}
-		gas, sis = append(gas, res[0][runs/2]), append(sis, res[1][runs/2])
+		gas, sis = append(gas, rs[0]), append(sis, rs[1])
 	}
 	return groups, gas, sis, nil
+}
+
+// medianRuns runs every variant over the group runs times and returns,
+// per variant, the median run by CPU. The outputs of a variant are the
+// same in every run; its CPU is not, since a run of a few milliseconds
+// doubles with one collection or preemption. Every run starts from a
+// collected heap, so that none pays for another's garbage, and the
+// variants alternate, so that a slow stretch of the machine falls on all
+// of them.
+func medianRuns(g quality.Group, sr *tuple.Series, variants []variant, runs int) ([]*core.Result, error) {
+	res := make([][]*core.Result, len(variants))
+	for range runs {
+		for i, v := range variants {
+			runtime.GC()
+			r, err := runVariant(g, sr, v)
+			if err != nil {
+				return nil, err
+			}
+			res[i] = append(res[i], r)
+		}
+	}
+	out := make([]*core.Result, len(variants))
+	for i, rs := range res {
+		slices.SortFunc(rs, func(a, b *core.Result) int { return cmp.Compare(a.Stats.CPU, b.Stats.CPU) })
+		out[i] = rs[len(rs)/2]
+	}
+	return out, nil
 }
 
 // Fig52OutputRatio regenerates Fig 5.2: output ratio per batch of 100

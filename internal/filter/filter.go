@@ -82,6 +82,10 @@ type CandidateSet struct {
 	// carried on the set so the engine keeps no map keyed by set pointer.
 	// Filters leave them zero.
 
+	// Slot is the owner's index in the engine's group when the set
+	// closed. Membership may change while a set is pending, so the engine
+	// trusts it only while that slot still holds Owner.
+	Slot int
 	// Accounted records that the members' group-utility contribution has
 	// been removed.
 	Accounted bool

@@ -223,6 +223,9 @@ func (s *Solver) Greedy(sets []*filter.CandidateSet, preferEarliest bool) ([]Pic
 	for _, n := range s.need {
 		remaining += int(n)
 	}
+	if len(s.ents) == 1 {
+		return s.only(sets, remaining)
+	}
 	// Every set starts unsatisfied, so an entry's utility starts at its
 	// incidence count.
 	maxU := int32(0)
@@ -273,6 +276,10 @@ func (s *Solver) Greedy(sets []*filter.CandidateSet, preferEarliest bool) ([]Pic
 	return picks, nil
 }
 
+// Incidences returns the number of (set, eligible member) pairs of the
+// last instance Greedy solved: the work it did, counted.
+func (s *Solver) Incidences() int { return len(s.inc) }
+
 // InOrder returns the picks of the last Greedy call in (TS, Seq) order,
 // the order their tuples arrived in, by one pass over the tie-break order
 // instead of a sort. Like the picks it is solver scratch, valid until the
@@ -292,6 +299,30 @@ func (s *Solver) InOrder() []Pick {
 	}
 	s.byTime = out
 	return out
+}
+
+// only solves an instance of one distinct tuple, as every region of a
+// pass-all group is: the tuple is the one pick, credited to every set
+// still short of its quota once per incidence, the order Greedy credits
+// in.
+func (s *Solver) only(sets []*filter.CandidateSet, remaining int) ([]Pick, error) {
+	credits := slices.Grow(s.credits[:0], remaining)
+	for i, cs := range sets {
+		for range s.setOff[i+1] - s.setOff[i] {
+			if s.need[i] > 0 {
+				s.need[i]--
+				remaining--
+				credits = append(credits, cs)
+			}
+		}
+	}
+	if remaining > 0 {
+		return nil, fmt.Errorf("hitting: no pickable tuple with %d picks outstanding", remaining)
+	}
+	s.u[0] = -1
+	s.picks = append(s.picks[:0], Pick{Tuple: s.ents[0], Sets: credits[:len(credits):len(credits)]})
+	s.credits = credits
+	return s.picks, nil
 }
 
 // first returns the first entry at utility u in tie-break order: from the

@@ -218,3 +218,82 @@ func TestSolverMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// oneTupleInstance draws an instance whose sets have one distinct eligible
+// tuple between them, the shape Greedy solves without its utility loop:
+// quotas above one on a set that can give only the tuple, Top and Bottom
+// restrictions that leave the set's other members ineligible, decided
+// proxies (a set decided before its region closed, standing in with its
+// pick), and a second object under the tuple's seq.
+func oneTupleInstance(rng *rand.Rand) []*filter.CandidateSet {
+	seq := 1000 + rng.Intn(16)
+	at := func(seq int, v float64) *tuple.Tuple {
+		return tuple.MustNew(schema, seq, time.Unix(0, int64(seq)*int64(time.Millisecond)), []float64{v})
+	}
+	only := at(seq, 2)
+	sets := make([]*filter.CandidateSet, 1+rng.Intn(8))
+	for i := range sets {
+		cs := &filter.CandidateSet{Owner: string(rune('A' + rng.Intn(6))), Ordinal: i, PickDegree: 1}
+		switch rng.Intn(5) {
+		case 0:
+			cs.Members, cs.PickDegree = []*tuple.Tuple{only}, 1+rng.Intn(3)
+		case 1:
+			cs.Members, cs.PickDegree = []*tuple.Tuple{only, at(seq, 2)}, 1+rng.Intn(2)
+		case 2:
+			cs.Members, cs.Restrict = []*tuple.Tuple{at(seq-2, 1), only, at(seq+3, 1)}, filter.Top
+		case 3:
+			cs.Members, cs.Restrict = []*tuple.Tuple{at(seq-1, 3), at(seq+1, 4), only}, filter.Bottom
+		case 4:
+			cs.Members, cs.Decided = []*tuple.Tuple{only}, true
+		}
+		sets[i] = cs
+	}
+	return sets
+}
+
+// TestSolverOneTupleMatchesReference holds Greedy's one-tuple shortcut to
+// the reference greedy: the same single pick, credited to the same sets in
+// the same order, InOrder listing it, and the incidences counted. The
+// solver alternates with general instances, so the shortcut leaves no
+// state behind that the next instance would read.
+func TestSolverOneTupleMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	var got Solver
+	var want refSolver
+	for trial := range 4000 {
+		sets, one := diffInstance(rng), trial%2 == 0
+		if one {
+			sets = oneTupleInstance(rng)
+		}
+		earliest := trial%4 < 2
+		wp, werr := want.Greedy(sets, earliest)
+		gp, gerr := got.Greedy(sets, earliest)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)
+		}
+		if len(gp) != len(wp) {
+			t.Fatalf("trial %d: picks %v, reference %v", trial, pickSeqs(gp), pickSeqs(wp))
+		}
+		for i := range wp {
+			if gp[i].Tuple != wp[i].Tuple || !slices.Equal(gp[i].Sets, wp[i].Sets) {
+				t.Fatalf("trial %d: pick %d is %v, reference %v", trial, i, gp[i], wp[i])
+			}
+		}
+		if !one {
+			continue
+		}
+		if gerr != nil || len(got.ents) != 1 || len(gp) != 1 {
+			t.Fatalf("trial %d: one-tuple instance: %d entries, picks %v, error %v", trial, len(got.ents), pickSeqs(gp), gerr)
+		}
+		if in := got.InOrder(); len(in) != 1 || in[0].Tuple != gp[0].Tuple {
+			t.Fatalf("trial %d: InOrder %v", trial, pickSeqs(in))
+		}
+		incidences := 0
+		for _, cs := range sets {
+			incidences += len(cs.Eligible())
+		}
+		if got.Incidences() != incidences {
+			t.Fatalf("trial %d: %d incidences counted, %d eligible members", trial, got.Incidences(), incidences)
+		}
+	}
+}

@@ -50,6 +50,17 @@ func (r *Region) TupleCount() int {
 	if len(r.Sets) == 1 {
 		return len(r.Sets[0].Members)
 	}
+	lo, hi, n := math.MaxInt, math.MinInt, 0
+	for _, cs := range r.Sets {
+		for _, m := range cs.Members {
+			lo, hi = min(lo, m.Seq), max(hi, m.Seq)
+		}
+		n += len(cs.Members)
+	}
+	if lo == hi {
+		// One tuple in every set, as in a pass-all group's regions.
+		return 1
+	}
 	// Mark each member's sequence number once, in an index over the
 	// region's narrow window of numbers.
 	var idx *tuple.SeqIndex
@@ -57,13 +68,6 @@ func (r *Region) TupleCount() int {
 		idx = &r.tr.seqs
 	} else {
 		idx = new(tuple.SeqIndex)
-	}
-	lo, hi, n := math.MaxInt, math.MinInt, 0
-	for _, cs := range r.Sets {
-		for _, m := range cs.Members {
-			lo, hi = min(lo, m.Seq), max(hi, m.Seq)
-		}
-		n += len(cs.Members)
 	}
 	idx.Reset(lo, hi, n)
 	distinct := 0
