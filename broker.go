@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"gasf/internal/broker"
 	"gasf/internal/quality"
 	"gasf/internal/server"
+	"gasf/internal/session"
 )
 
 // This file defines the unified, context-first streaming API: one Broker
@@ -17,8 +17,7 @@ import (
 // same publish/subscribe/churn program runs unchanged on either; the
 // parity test suite holds the two to byte-identical released sequences
 // per subscriber. The batch Run/RunSharded entry points are thin
-// wrappers over an embedded broker, and the older Client type is a
-// deprecated veneer over the same wire sessions Dial uses.
+// wrappers over an embedded broker.
 
 // Broker is the unified streaming surface: long-lived sources publish
 // indefinitely, applications join and leave a source's filter group at
@@ -110,7 +109,7 @@ type Subscription interface {
 // Offset is the delivery's position in the source's durable log — the
 // checkpoint a later WithResumeFrom(offset+1) subscription resumes
 // from.
-type Delivery = broker.Delivery
+type Delivery = session.Delivery
 
 // specFor parses and validates a subscription spec once at the facade,
 // so both transports coordinate on the identical, canonically rendered
@@ -141,17 +140,6 @@ func mapStreamEnd(err error) error {
 		return fmt.Errorf("%w: %v", ErrEvicted, err)
 	}
 	return err
-}
-
-// dialTimeoutFor derives a session dial timeout from the caller context
-// and the configured default.
-func dialTimeoutFor(ctx context.Context, def time.Duration) time.Duration {
-	if deadline, ok := ctx.Deadline(); ok {
-		if d := time.Until(deadline); def <= 0 || d < def {
-			return d
-		}
-	}
-	return def
 }
 
 // errBrokerClosed rejects operations on a closed broker handle.

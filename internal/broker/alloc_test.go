@@ -94,7 +94,7 @@ func TestSinkRouteZeroAllocs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var d Delivery
+			var d session.Delivery
 			for sub.RecvInto(ctx, &d) == nil {
 			}
 		}()

@@ -54,36 +54,11 @@ var ErrStreamEnded = errors.New("broker: stream ended")
 // the reason.
 var ErrEvicted = errors.New("broker: subscriber evicted")
 
-// Delivery is one transmission received by a subscription: the tuple,
-// the destination label list pruned to the subscribers that were live at
-// release time (this subscription is one of them), and the receive
-// instant.
-type Delivery struct {
-	Tuple *tuple.Tuple
-	// Destinations is read-only and may be shared: on the embedded
-	// transport it aliases the engine's canonical destination list when
-	// every addressee was live at release, and otherwise one pruned slice
-	// per membership and destination pattern; on the networked one
-	// RecvInto rewrites the caller's slice with the session's interned
-	// label strings.
-	Destinations []string
-	// ReceivedAt is stamped by Recv or RecvInto when the consumer takes the
-	// delivery, one clock read per receive; it is not the enqueue instant
-	// the broker's delivery-latency telemetry observes.
-	ReceivedAt time.Time
-	// Offset is the delivery's position in the source's durable log when
-	// the broker runs with Config.DataDir (0 otherwise, and 0 for the log's
-	// first record) — the same number the networked transport carries in
-	// every transmission frame. A consumer that checkpointed offset o
-	// resumes with SubOptions.ResumeFrom = o+1.
-	Offset uint64
-}
-
 // Broker is the embedded streaming runtime. Create with New, open
 // publishers with OpenSource, join groups with Subscribe, stop with
 // Close.
 type Broker struct {
-	core *session.Core[Delivery]
+	core *session.Core[session.Delivery]
 }
 
 // New starts an embedded broker. The transport's own settings —
@@ -103,7 +78,7 @@ func New(cfg session.Config) (*Broker, error) {
 	// expiry of other sources.
 	cfg.OnExpire = func(owner any, _ time.Duration) { go owner.(*Source).Finish(context.Background()) }
 	b := &Broker{}
-	c, err := session.New[Delivery](cfg, b.sink)
+	c, err := session.New[session.Delivery](cfg, b.sink)
 	if err != nil {
 		return nil, fmt.Errorf("broker: %w", err)
 	}
@@ -133,7 +108,7 @@ func (b *Broker) Telemetry() telemetry.Snapshot { return b.core.Telemetry().Snap
 // Source is one open publisher session.
 type Source struct {
 	b *Broker
-	s session.Source[Delivery]
+	s session.Source[session.Delivery]
 
 	mu       sync.Mutex
 	lastTS   time.Time
@@ -282,7 +257,7 @@ func (b *Broker) AttachFilter(ctx context.Context, source string, f filter.Filte
 // Sub is one live subscription.
 type Sub struct {
 	b    *Broker
-	m    *session.Member[Delivery]
+	m    *session.Member[session.Delivery]
 	spec quality.Spec
 
 	// replay carries a resuming subscription's history; runReplay closes
@@ -290,7 +265,7 @@ type Sub struct {
 	// after observing the close). Recv drains replay before touching live
 	// deliveries; the consumer side of a Sub is single-threaded, as on
 	// every other transport.
-	replay    chan Delivery
+	replay    chan session.Delivery
 	replayErr error
 
 	applied atomic.Uint64 // float64 bits of the scale in effect
@@ -324,7 +299,7 @@ func (b *Broker) Subscribe(ctx context.Context, app, source string, spec quality
 	sub.m = b.core.NewMember(app, source, o.Queue, sub)
 	sub.m.Resume, sub.m.ResumeFrom = o.Resume, o.ResumeFrom
 	if o.Resume {
-		sub.replay = make(chan Delivery)
+		sub.replay = make(chan session.Delivery)
 	}
 	if err := b.core.Join(ctx, sub.m, spec); err != nil {
 		return nil, fmt.Errorf("broker: %w", err)
@@ -352,7 +327,7 @@ func (s *Sub) runReplay() {
 			return fmt.Errorf("broker: replaying %q at offset %d: %w", m.Source, off, err)
 		}
 		select {
-		case s.replay <- Delivery{Tuple: t, Destinations: dests, Offset: off}:
+		case s.replay <- session.Delivery{Tuple: t, Destinations: dests, Offset: off}:
 			return nil
 		case <-m.Done():
 			return session.ErrReplayAborted
@@ -393,8 +368,8 @@ func (s *Sub) QoS() float64 { return math.Float64frombits(s.applied.Load()) }
 // Recv blocks for the next delivery until ctx is done. It returns
 // ErrStreamEnded once the stream ends gracefully (the source finished,
 // the broker closed, or this subscription left the group).
-func (s *Sub) Recv(ctx context.Context) (Delivery, error) {
-	var d Delivery
+func (s *Sub) Recv(ctx context.Context) (session.Delivery, error) {
+	var d session.Delivery
 	err := s.RecvInto(ctx, &d)
 	return d, err
 }
@@ -403,8 +378,8 @@ func (s *Sub) Recv(ctx context.Context) (Delivery, error) {
 // and label slices immutably, so unlike the networked RecvInto there is
 // no aliasing hazard; the variant exists so both transports satisfy one
 // interface with the allocation profile each can offer.
-func (s *Sub) RecvInto(ctx context.Context, d *Delivery) error {
-	deliver := func(dv Delivery) {
+func (s *Sub) RecvInto(ctx context.Context, d *session.Delivery) error {
+	deliver := func(dv session.Delivery) {
 		d.Tuple, d.Destinations, d.Offset = dv.Tuple, dv.Destinations, dv.Offset
 		d.ReceivedAt = time.Now()
 	}
@@ -448,7 +423,7 @@ func (s *Sub) RecvInto(ctx context.Context, d *Delivery) error {
 		return nil
 	default:
 	}
-	var dv Delivery
+	var dv session.Delivery
 	select {
 	case dv = <-s.m.Queue():
 	case <-s.m.Fin():
@@ -530,7 +505,7 @@ func (b *Broker) sink(batch []shard.Out) {
 				m.Lat.Observe(d)
 			}
 		}
-		dv := Delivery{Tuple: o.Tr.Tuple, Destinations: src.Labels, Offset: off}
+		dv := session.Delivery{Tuple: o.Tr.Tuple, Destinations: src.Labels, Offset: off}
 		for _, m := range src.Targets {
 			m.Send(dv, 1)
 		}
@@ -547,7 +522,7 @@ func (b *Broker) sink(batch []shard.Out) {
 // Publishes racing Close fail with an error rather than being silently
 // dropped.
 func (b *Broker) Close(ctx context.Context) error {
-	return b.core.Close(ctx, func(open []*session.Source[Delivery]) error {
+	return b.core.Close(ctx, func(open []*session.Source[session.Delivery]) error {
 		var errs []error
 		for _, src := range open {
 			errs = append(errs, src.Owner.(*Source).Finish(context.Background()))

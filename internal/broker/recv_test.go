@@ -55,7 +55,7 @@ func TestRecvNoDeliveryAfterDeparture(t *testing.T) {
 		if err := sub.Close(ctx); err != nil {
 			t.Fatal(err)
 		}
-		var d Delivery
+		var d session.Delivery
 		for i := 0; i < queued; i++ {
 			if err := sub.RecvInto(ctx, &d); !errors.Is(err, ErrStreamEnded) {
 				t.Fatalf("receive %d after leaving: %v (tuple %v), want ErrStreamEnded", i, err, d.Tuple)
@@ -85,7 +85,7 @@ func TestRecvNoDeliveryAfterDeparture(t *testing.T) {
 		if n := len(sub.m.Queue()); n != queued {
 			t.Fatalf("queue holds %d deliveries at eviction, want %d", n, queued)
 		}
-		var d Delivery
+		var d session.Delivery
 		for i := 0; i < queued; i++ {
 			if err := sub.RecvInto(ctx, &d); !errors.Is(err, ErrEvicted) {
 				t.Fatalf("receive %d after eviction: %v (tuple %v), want ErrEvicted", i, err, d.Tuple)
@@ -118,7 +118,7 @@ func TestRecvDrainsAfterFin(t *testing.T) {
 	default:
 		t.Fatal("stream not ended after Finish returned")
 	}
-	var d Delivery
+	var d session.Delivery
 	for i := 0; i < n; i++ {
 		if err := sub.RecvInto(ctx, &d); err != nil {
 			t.Fatalf("receive %d after the end of the stream: %v", i, err)
@@ -167,7 +167,7 @@ func TestRecvReplayBeforeQueuedLive(t *testing.T) {
 	}
 	publishSeq(t, ctx, src, history, live+1)
 	waitQueued(t, ctx, sub, live)
-	var d Delivery
+	var d session.Delivery
 	for i := 0; i < history+live; i++ {
 		if err := sub.RecvInto(ctx, &d); err != nil {
 			t.Fatalf("receive %d: %v", i, err)
@@ -195,7 +195,7 @@ func TestEmbeddedRecvIntoZeroAllocs(t *testing.T) {
 	}
 	publishSeq(t, ctx, src, 0, runs+2)
 	waitQueued(t, ctx, sub, runs+1)
-	var d Delivery
+	var d session.Delivery
 	if n := testing.AllocsPerRun(runs, func() {
 		if err := sub.RecvInto(ctx, &d); err != nil {
 			t.Fatal(err)
@@ -226,7 +226,7 @@ func group12Broker(tb testing.TB, ctx context.Context, sr *tuple.Series, specs [
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var d Delivery
+			var d session.Delivery
 			for sub.RecvInto(ctx, &d) == nil {
 			}
 		}()

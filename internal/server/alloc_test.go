@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gasf/internal/session"
 	"gasf/internal/tuple"
 	"gasf/internal/wire"
 )
@@ -68,8 +69,10 @@ func TestReadFrameIntoZeroAllocs(t *testing.T) {
 }
 
 // TestPublishContextZeroAllocs gates the client publish path: a publish
-// bounded by a context that cannot be cancelled encodes into the session's
-// buffer and writes, allocating nothing — per tuple or per batch.
+// encodes into the session's buffer and writes, allocating nothing — per
+// tuple or per batch — neither under a context that cannot be cancelled
+// nor under one cancellable context passed again and again (whose watcher
+// is armed once and kept).
 func TestPublishContextZeroAllocs(t *testing.T) {
 	schema := tuple.MustSchema("v")
 	conn, far := loopbackPair(t)
@@ -77,28 +80,38 @@ func TestPublishContextZeroAllocs(t *testing.T) {
 	pub := &Publisher{conn: conn, source: "s1"}
 	batch := make([]*tuple.Tuple, 64)
 	seq := 0
-	publish := func() {
-		for i := range batch {
-			batch[i] = tuple.MustNew(schema, seq, time.Unix(1, int64(seq)), []float64{1})
-			seq++
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"background", context.Background()},
+		{"cancellable", cancellable},
+	} {
+		publish := func() {
+			for i := range batch {
+				batch[i] = tuple.MustNew(schema, seq, time.Unix(1, int64(seq)), []float64{1})
+				seq++
+			}
+			if err := pub.PublishBatch(c.ctx, batch[:1]); err != nil {
+				t.Fatal(err)
+			}
+			if err := pub.PublishBatch(c.ctx, batch[1:]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := pub.PublishContext(context.Background(), batch[0]); err != nil {
-			t.Fatal(err)
+		publish()
+		// The test's own tuples are 2 allocations each; the session adds none.
+		if avg, own := testing.AllocsPerRun(200, publish), float64(2*len(batch)); avg != own {
+			t.Errorf("%s context: publishing allocates %.2f objects per round beyond the %v of the tuples themselves", c.name, avg-own, own)
 		}
-		if err := pub.PublishBatchContext(context.Background(), batch[1:]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	publish()
-	// The test's own tuples are 2 allocations each; the session adds none.
-	if avg, own := testing.AllocsPerRun(200, publish), float64(2*len(batch)); avg != own {
-		t.Errorf("publishing allocates %.2f objects per round beyond the %v of the tuples themselves", avg-own, own)
 	}
 }
 
 // TestRecvIntoZeroAllocs gates the client receive path: a subscriber
 // session fed transmission frames over a pipe allocates nothing per
-// delivery through RecvIntoContext, neither under a context that cannot be
+// delivery through RecvInto, neither under a context that cannot be
 // cancelled nor under one cancellable context passed again and again
 // (whose watcher is armed once and kept).
 func TestRecvIntoZeroAllocs(t *testing.T) {
@@ -127,9 +140,9 @@ func TestRecvIntoZeroAllocs(t *testing.T) {
 		{"background", context.Background()},
 		{"cancellable", cancellable},
 	} {
-		var d Delivery
+		var d session.Delivery
 		recv := func() {
-			if err := sub.RecvIntoContext(c.ctx, &d); err != nil {
+			if err := sub.RecvInto(c.ctx, &d); err != nil {
 				t.Fatal(err)
 			}
 			if len(d.Destinations) != 3 || d.Destinations[2] != "app-c" {
@@ -140,7 +153,7 @@ func TestRecvIntoZeroAllocs(t *testing.T) {
 			recv()
 		}
 		if avg := testing.AllocsPerRun(2000, recv); avg != 0 {
-			t.Errorf("%s context: RecvIntoContext allocates %.2f objects per delivery, want 0", c.name, avg)
+			t.Errorf("%s context: RecvInto allocates %.2f objects per delivery, want 0", c.name, avg)
 		}
 	}
 
@@ -154,8 +167,8 @@ func TestRecvIntoZeroAllocs(t *testing.T) {
 	ctx, stop := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		var d Delivery
-		errc <- idle.RecvIntoContext(ctx, &d)
+		var d session.Delivery
+		errc <- idle.RecvInto(ctx, &d)
 	}()
 	stop()
 	select {
@@ -167,8 +180,8 @@ func TestRecvIntoZeroAllocs(t *testing.T) {
 		t.Fatal("cancelling the context did not unblock the receive")
 	}
 	go idleFeed.Write(stream[:len(stream)/64])
-	var d Delivery
-	if err := idle.RecvIntoContext(context.Background(), &d); err != nil {
+	var d session.Delivery
+	if err := idle.RecvInto(context.Background(), &d); err != nil {
 		t.Fatalf("receive after a cancelled one: %v", err)
 	}
 }
@@ -196,9 +209,9 @@ func TestRecvWatcherCancelAndCloseRace(t *testing.T) {
 		received := make(chan struct{}, 1)
 		errc := make(chan error, 1)
 		go func() {
-			var d Delivery
+			var d session.Delivery
 			for {
-				if err := sub.RecvIntoContext(ctx, &d); err != nil {
+				if err := sub.RecvInto(ctx, &d); err != nil {
 					errc <- err
 					return
 				}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"gasf/internal/federate"
+	"gasf/internal/session"
 	"gasf/internal/tuple"
 	"gasf/internal/wire"
 )
@@ -64,6 +65,9 @@ type budgetCase struct {
 	// upstream stream to every member.
 	federated bool
 	specs     []string
+	// ctx bounds every client publish and receive of the case: one that
+	// cannot be cancelled, or one cancellable context passed to every call.
+	ctx context.Context
 }
 
 // app names the i-th subscriber of the case.
@@ -74,13 +78,13 @@ func (c budgetCase) app(i int) string {
 	return string(rune('a' + i))
 }
 
-// publishBatches publishes tuples [from, to) of sr in budgetBatch runs,
-// through the context-taking entry point the Broker interface uses.
-func publishBatches(t *testing.T, pub *Publisher, sr *tuple.Series, from, to int) {
+// publishBatches publishes tuples [from, to) of sr in budgetBatch runs
+// under ctx.
+func publishBatches(ctx context.Context, t *testing.T, pub *Publisher, sr *tuple.Series, from, to int) {
 	t.Helper()
 	tuples := sr.Tuples()
 	for off := from; off < to; off += budgetBatch {
-		if err := pub.PublishBatchContext(context.Background(), tuples[off:min(off+budgetBatch, to)]); err != nil {
+		if err := pub.PublishBatch(ctx, tuples[off:min(off+budgetBatch, to)]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,10 +94,10 @@ func publishBatches(t *testing.T, pub *Publisher, sr *tuple.Series, from, to int
 // budgetGCEvery tuples: a free list the collector can empty shows up as
 // refills. The warm-up runs the same way, so it reaches the in-flight
 // peak the measured stream will.
-func publishCollecting(t *testing.T, pub *Publisher, sr *tuple.Series, from, to int) {
+func publishCollecting(ctx context.Context, t *testing.T, pub *Publisher, sr *tuple.Series, from, to int) {
 	t.Helper()
 	for off := from; off < to; off += budgetGCEvery {
-		publishBatches(t, pub, sr, off, min(off+budgetGCEvery, to))
+		publishBatches(ctx, t, pub, sr, off, min(off+budgetGCEvery, to))
 		runtime.GC()
 	}
 }
@@ -110,13 +114,17 @@ func publishCollecting(t *testing.T, pub *Publisher, sr *tuple.Series, from, to 
 // it, so a regression names its layer. (Before the read seams, the slab
 // decode and the drained engines, the pass-all case counted 11.3 per
 // tuple: client receive 6.0, ingest 3.0, engine 1.6; before the free
-// lists, 0.05-0.16 depending on when the collector ran.)
+// lists, 0.05-0.16 depending on when the collector ran.) Each case runs
+// its client calls under a context that cannot be cancelled and again
+// under one cancellable context passed to every call.
 func TestTCPPathAllocBudget(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("allocation counts are measured without -race and not under -short")
 	}
 	const budget = 0.04
 	passall := "DC1(v, 0.5, 0)"
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, c := range []budgetCase{
 		{name: "passall", specs: []string{passall, passall, passall}},
 		// Moderate slack on a durable server: candidate sets of several
@@ -125,33 +133,47 @@ func TestTCPPathAllocBudget(t *testing.T) {
 		{name: "federated", federated: true, specs: []string{passall, passall}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			sr := stepSeries(t, budgetWarmup+budgetTuples, 0)
-			perTuple := func(n uint64) float64 { return float64(n) / budgetTuples }
-
-			total, deliveries := budgetEndToEnd(t, c, sr)
-			if !c.federated {
-				rows := []struct {
-					layer  string
-					allocs float64
-				}{
-					{"client publish", perTuple(budgetPublish(t, sr))},
-					{"ingest", perTuple(budgetIngest(t, c, sr))},
-					{"engine+sink", perTuple(budgetEngineSink(t, c, sr))},
-					{"egress", budgetEgress(t) * float64(deliveries) / budgetTuples},
-					{"client receive", budgetReceive(t) * float64(deliveries) / budgetTuples},
-				}
-				sum := 0.0
-				for _, r := range rows {
-					t.Logf("%-15s %6.3f allocs/tuple", r.layer, r.allocs)
-					sum += r.allocs
-				}
-				t.Logf("%-15s %6.3f allocs/tuple (rows in isolation)", "sum", sum)
-			}
-			t.Logf("%-15s %6.3f allocs/tuple (%d deliveries for %d tuples)", "end to end", perTuple(total), deliveries, budgetTuples)
-			if got := perTuple(total); got > budget {
-				t.Errorf("TCP path allocates %.3f objects per tuple end to end, budget %.2f", got, budget)
+			for _, cc := range []struct {
+				name string
+				ctx  context.Context
+			}{
+				{"background", context.Background()},
+				{"cancellable", cancellable},
+			} {
+				c.ctx = cc.ctx
+				t.Run(cc.name, func(t *testing.T) { budgetCheck(t, c, budget) })
 			}
 		})
+	}
+}
+
+// budgetCheck runs one case of TestTCPPathAllocBudget.
+func budgetCheck(t *testing.T, c budgetCase, budget float64) {
+	sr := stepSeries(t, budgetWarmup+budgetTuples, 0)
+	perTuple := func(n uint64) float64 { return float64(n) / budgetTuples }
+
+	total, deliveries := budgetEndToEnd(t, c, sr)
+	if !c.federated {
+		rows := []struct {
+			layer  string
+			allocs float64
+		}{
+			{"client publish", perTuple(budgetPublish(c.ctx, t, sr))},
+			{"ingest", perTuple(budgetIngest(t, c, sr))},
+			{"engine+sink", perTuple(budgetEngineSink(t, c, sr))},
+			{"egress", budgetEgress(t) * float64(deliveries) / budgetTuples},
+			{"client receive", budgetReceive(c.ctx, t) * float64(deliveries) / budgetTuples},
+		}
+		sum := 0.0
+		for _, r := range rows {
+			t.Logf("%-15s %6.3f allocs/tuple", r.layer, r.allocs)
+			sum += r.allocs
+		}
+		t.Logf("%-15s %6.3f allocs/tuple (rows in isolation)", "sum", sum)
+	}
+	t.Logf("%-15s %6.3f allocs/tuple (%d deliveries for %d tuples)", "end to end", perTuple(total), deliveries, budgetTuples)
+	if got := perTuple(total); got > budget {
+		t.Errorf("TCP path allocates %.3f objects per tuple end to end, budget %.2f", got, budget)
 	}
 }
 
@@ -196,13 +218,13 @@ func budgetTopology(t *testing.T, c budgetCase) (pubAddr, subAddr string, delive
 // subscriber seeing the end of its stream — and the deliveries made.
 func budgetEndToEnd(t *testing.T, c budgetCase, sr *tuple.Series) (mallocs, deliveries uint64) {
 	pubAddr, subAddr, srv := budgetTopology(t, c)
-	pub, err := DialPublisherTimeout(pubAddr, "s1", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), pubAddr, "s1", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for i, spec := range c.specs {
-		sub, err := DialSubscriberOpts(subAddr, c.app(i), "s1", spec, SubDialOpts{})
+		sub, err := DialSubscriber(context.Background(), subAddr, c.app(i), "s1", spec, SubDialOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,9 +232,9 @@ func budgetEndToEnd(t *testing.T, c budgetCase, sr *tuple.Series) (mallocs, deli
 		go func(i int) {
 			defer wg.Done()
 			defer sub.Close()
-			var d Delivery
+			var d session.Delivery
 			for {
-				err := sub.RecvIntoContext(context.Background(), &d)
+				err := sub.RecvInto(c.ctx, &d)
 				if errors.Is(err, ErrStreamEnded) {
 					return
 				}
@@ -223,7 +245,7 @@ func budgetEndToEnd(t *testing.T, c budgetCase, sr *tuple.Series) (mallocs, deli
 			}
 		}(i)
 	}
-	publishCollecting(t, pub, sr, 0, budgetWarmup)
+	publishCollecting(c.ctx, t, pub, sr, 0, budgetWarmup)
 	if err := pub.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +260,7 @@ func budgetEndToEnd(t *testing.T, c budgetCase, sr *tuple.Series) (mallocs, deli
 	defer frameStats.enabled.Store(false)
 	f0, b0 := frameStats.freshFrames.Load(), frameStats.freshBatches.Load()
 	mallocs = mallocsDuring(func() {
-		publishCollecting(t, pub, sr, budgetWarmup, sr.Len())
+		publishCollecting(c.ctx, t, pub, sr, budgetWarmup, sr.Len())
 		if err := pub.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -250,12 +272,12 @@ func budgetEndToEnd(t *testing.T, c budgetCase, sr *tuple.Series) (mallocs, deli
 
 // budgetPublish measures the publisher alone: PublishBatch into a
 // connection whose far end discards.
-func budgetPublish(t *testing.T, sr *tuple.Series) uint64 {
+func budgetPublish(ctx context.Context, t *testing.T, sr *tuple.Series) uint64 {
 	conn, far := loopbackPair(t)
 	go io.Copy(io.Discard, far)
 	pub := &Publisher{conn: conn, source: "s1"}
-	publishBatches(t, pub, sr, 0, budgetWarmup)
-	return mallocsDuring(func() { publishBatches(t, pub, sr, budgetWarmup, sr.Len()) })
+	publishBatches(ctx, t, pub, sr, 0, budgetWarmup)
+	return mallocsDuring(func() { publishBatches(ctx, t, pub, sr, budgetWarmup, sr.Len()) })
 }
 
 // budgetIngest measures the server's ingest alone: readSource over a
@@ -367,7 +389,7 @@ func budgetEgress(t *testing.T) float64 {
 
 // budgetReceive measures the client's receive alone, in allocations per
 // delivery: a subscriber session over loopback fed pre-encoded frames.
-func budgetReceive(t *testing.T) float64 {
+func budgetReceive(ctx context.Context, t *testing.T) float64 {
 	schema := tuple.MustSchema("v")
 	conn, far := loopbackPair(t)
 	stream := transmissionFrames(t, schema, 64)
@@ -379,9 +401,9 @@ func budgetReceive(t *testing.T) float64 {
 		}
 	}()
 	sub := &Subscriber{conn: conn, br: bufio.NewReaderSize(conn, 32<<10), schema: schema}
-	var d Delivery
+	var d session.Delivery
 	recv := func() {
-		if err := sub.RecvIntoContext(context.Background(), &d); err != nil {
+		if err := sub.RecvInto(ctx, &d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -407,13 +429,13 @@ func TestServerEngineBoundedHeap(t *testing.T) {
 	sr := stepSeries(t, 5*n, 0)
 	srv := startServer(t, Config{Logf: func(string, ...any) {}, SourceTimeout: -1})
 	addr := srv.Addr().String()
-	pub, err := DialPublisherTimeout(addr, "s1", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, "s1", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
-		sub, err := DialSubscriberOpts(addr, string(rune('a'+i)), "s1", "DC1(v, 0.5, 0)", SubDialOpts{})
+		sub, err := DialSubscriber(context.Background(), addr, string(rune('a'+i)), "s1", "DC1(v, 0.5, 0)", SubDialOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,8 +443,8 @@ func TestServerEngineBoundedHeap(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer sub.Close()
-			var d Delivery
-			for sub.RecvIntoContext(context.Background(), &d) == nil {
+			var d session.Delivery
+			for sub.RecvInto(context.Background(), &d) == nil {
 			}
 		}()
 	}
@@ -430,7 +452,7 @@ func TestServerEngineBoundedHeap(t *testing.T) {
 	// released has been handed to its subscriber's writer, and returns the
 	// collected heap.
 	checkpoint := func(from, to int) uint64 {
-		publishBatches(t, pub, sr, from, to)
+		publishBatches(context.Background(), t, pub, sr, from, to)
 		if err := pub.Sync(context.Background()); err != nil {
 			t.Fatal(err)
 		}

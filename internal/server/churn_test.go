@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -33,14 +34,14 @@ func TestSubscriptionChurn(t *testing.T) {
 
 	for si := 0; si < sources; si++ {
 		source := fmt.Sprintf("src%d", si)
-		pub, err := DialPublisherTimeout(addr, source, schema, 0)
+		pub, err := DialPublisher(context.Background(), addr, source, schema, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The stable subscriber joins before the first tuple, with a
 		// pass-all spec: values step by 1 > delta, so every tuple is a
 		// closed singleton set and must be delivered exactly once.
-		stable, err := DialSubscriberOpts(addr, "stable", source, "DC1(v, 0.5, 0)", SubDialOpts{})
+		stable, err := DialSubscriber(context.Background(), addr, "stable", source, "DC1(v, 0.5, 0)", SubDialOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func TestSubscriptionChurn(t *testing.T) {
 			defer wg.Done()
 			next := 0
 			for {
-				d, err := sub.Recv()
+				d, err := recvOne(sub)
 				if err == ErrStreamEnded {
 					break
 				}
@@ -80,7 +81,7 @@ func TestSubscriptionChurn(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := pub.Publish(tp); err != nil {
+				if err := publishOne(pub, tp); err != nil {
 					errs <- fmt.Errorf("%s publish %d: %w", source, i, err)
 					return
 				}
@@ -100,7 +101,7 @@ func TestSubscriptionChurn(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(100 + ci)))
 				for round := 0; ; round++ {
 					app := fmt.Sprintf("churn%d-%d", ci, round)
-					sub, err := DialSubscriberOpts(addr, app, source, "DC1(v, 3.5, 1.5)", SubDialOpts{})
+					sub, err := DialSubscriber(context.Background(), addr, app, source, "DC1(v, 3.5, 1.5)", SubDialOpts{})
 					if err != nil {
 						// The source may already be finished; churn ends.
 						return
@@ -109,7 +110,7 @@ func TestSubscriptionChurn(t *testing.T) {
 					limit := rng.Intn(40)
 					ended := false
 					for i := 0; i < limit; i++ {
-						if _, err := sub.Recv(); err != nil {
+						if _, err := recvOne(sub); err != nil {
 							ended = true
 							break
 						}

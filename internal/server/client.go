@@ -58,25 +58,83 @@ func (w *deadlineWatch) retire() (fired bool) {
 
 // withConnCtx runs one blocking connection operation under a context: if
 // ctx fires mid-operation the operation unblocks, and the context error is
-// reported instead of the deadline error. The deadline armed is the write
-// deadline when op only writes, both otherwise. The fast path — a context
-// that can never fire — goes straight to op, before anything is built
-// that would outlive the call.
-func withConnCtx(ctx context.Context, conn net.Conn, writeOnly bool, op func() error) error {
-	if ctx == nil || ctx.Done() == nil {
-		return op()
+// reported instead of the deadline error.
+func withConnCtx(ctx context.Context, conn net.Conn, op func() error) error {
+	var k keptWatch
+	if err := k.arm(ctx, conn, false); err != nil {
+		return err
+	}
+	if err := op(); err != nil {
+		return k.failed(ctx, err)
+	}
+	k.disarm()
+	return nil
+}
+
+// keptWatch bounds a session's calls by their contexts. A context that
+// can never be cancelled needs nothing. A cancellable one needs a watcher
+// on the connection's deadline, which costs a channel, a registration and
+// a closure — so the watcher outlives the call that armed it and serves
+// every later call whose context has the same Done channel: a caller
+// looping on one cancellable context pays for it once.
+type keptWatch struct {
+	w atomic.Pointer[deadlineWatch]
+}
+
+// arm readies conn for one call bounded by ctx, on the read deadline only
+// when readOnly, else on both. It reports ctx's error when ctx is already
+// done. The calls armed on one keptWatch are serial; only an unregistering
+// drop may run beside them.
+func (k *keptWatch) arm(ctx context.Context, conn net.Conn, readOnly bool) error {
+	done := ctx.Done()
+	if w := k.w.Load(); w != nil {
+		if w.done == done {
+			select {
+			case <-done:
+				k.disarm()
+				return ctx.Err()
+			default:
+				return nil
+			}
+		}
+		k.disarm()
+	}
+	if done == nil {
+		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	set := conn.SetDeadline
-	if writeOnly {
-		set = conn.SetWriteDeadline
+	if readOnly {
+		set = conn.SetReadDeadline
 	}
-	w := watchDeadline(ctx, set)
-	err := op()
-	if w.retire() {
-		if cerr := ctx.Err(); cerr != nil && err != nil {
+	k.w.Store(watchDeadline(ctx, set))
+	return nil
+}
+
+// disarm retires the armed watcher, if any, and reports whether it had
+// fired.
+func (k *keptWatch) disarm() (fired bool) {
+	w := k.w.Swap(nil)
+	return w != nil && w.retire()
+}
+
+// drop unregisters the armed watcher without touching the deadline, for a
+// connection about to close while a call may still be running on it.
+func (k *keptWatch) drop() {
+	if w := k.w.Swap(nil); w != nil {
+		w.stop()
+	}
+}
+
+// failed settles a failed call: the watcher is retired (the session is
+// ending, or the next call arms a fresh one), and when it was the watcher
+// that interrupted the call the context's error is reported instead of the
+// deadline error.
+func (k *keptWatch) failed(ctx context.Context, err error) error {
+	if k.disarm() {
+		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
 	}
@@ -85,7 +143,7 @@ func withConnCtx(ctx context.Context, conn net.Conn, writeOnly bool, op func() e
 
 // dialHello dials the server, sends one hello frame, and waits for the
 // hello-ok (or error) answer, returning the ok payload. timeout bounds the
-// dial plus handshake (0 means 5s); ctx cancels either early.
+// dial plus handshake (0 means 5s); ctx ends either early.
 func dialHello(ctx context.Context, addr string, kind byte, hello []byte, timeout time.Duration) (net.Conn, []byte, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -100,7 +158,7 @@ func dialHello(ctx context.Context, addr string, kind byte, hello []byte, timeou
 		k       byte
 		payload []byte
 	)
-	err = withConnCtx(ctx, conn, false, func() error {
+	err = withConnCtx(ctx, conn, func() error {
 		if err := WriteFrame(conn, kind, hello); err != nil {
 			return fmt.Errorf("server: sending hello: %w", err)
 		}
@@ -128,7 +186,8 @@ func dialHello(ctx context.Context, addr string, kind byte, hello []byte, timeou
 }
 
 // Publisher is a client-side source session: it streams tuples of one
-// schema to the server under an advertised source name.
+// schema to the server under an advertised source name. Every call that
+// blocks takes a context; the calls are serialized.
 type Publisher struct {
 	conn   net.Conn
 	source string
@@ -140,21 +199,27 @@ type Publisher struct {
 	resumeOK  bool
 
 	mu      sync.Mutex
+	watch   keptWatch // armed under mu
 	buf     []byte
 	lastTS  time.Time
 	pingSeq uint64
 	closed  bool
 }
 
-// DialPublisherTimeout opens a source session under an explicit dial-
-// plus-handshake timeout; 0 means the 5s default. The schema travels in
-// the handshake; every published tuple must use it.
-func DialPublisherTimeout(addr, source string, schema *tuple.Schema, timeout time.Duration) (*Publisher, error) {
+// errPublisherClosed rejects calls on a closed publisher. It wraps
+// net.ErrClosed: to a reconnecting caller, a session closed under it (by a
+// redial that its context ended) is a lost connection like any other.
+var errPublisherClosed = fmt.Errorf("server: publisher closed: %w", net.ErrClosed)
+
+// DialPublisher opens a source session. timeout bounds the dial plus
+// handshake (0 means 5s); ctx ends either early. The schema travels in the
+// handshake; every published tuple must use it.
+func DialPublisher(ctx context.Context, addr, source string, schema *tuple.Schema, timeout time.Duration) (*Publisher, error) {
 	hello, err := EncodeSourceHello(source, schema)
 	if err != nil {
 		return nil, err
 	}
-	conn, ok, err := dialHello(context.Background(), addr, FrameSourceHello, hello, timeout)
+	conn, ok, err := dialHello(ctx, addr, FrameSourceHello, hello, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -179,55 +244,26 @@ func (p *Publisher) Source() string { return p.source }
 // duplicate-free across the reconnect.
 func (p *Publisher) ResumeHint() (maxSeq int64, ok bool) { return p.resumeSeq, p.resumeOK }
 
-// Publish sends one tuple. Timestamps must be strictly increasing — the
-// group-aware engine's region algebra depends on it — and the tuple must
-// use the advertised schema. Publish applies backpressure: it blocks when
-// the server's shard queue for this source is full.
-func (p *Publisher) Publish(t *tuple.Tuple) error {
-	if t == nil {
-		return fmt.Errorf("server: nil tuple")
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.publishLocked(t)
-}
-
-func (p *Publisher) publishLocked(t *tuple.Tuple) error {
-	if p.closed {
-		return fmt.Errorf("server: publisher closed")
-	}
-	if !p.lastTS.IsZero() && !t.TS.After(p.lastTS) {
-		return fmt.Errorf("server: tuple %d timestamp %v not after previous %v", t.Seq, t.TS, p.lastTS)
-	}
-	// Encode the frame in place into the publisher's recycled buffer and
-	// ship it with a single write: no per-publish allocation, one syscall.
-	buf := beginFrame(p.buf[:0], FrameTuple)
-	buf, err := wire.AppendTuple(buf, t)
-	if err != nil {
-		return err
-	}
-	p.buf = endFrame(buf)
-	if _, err := p.conn.Write(p.buf); err != nil {
-		return fmt.Errorf("server: publishing: %w", err)
-	}
-	p.lastTS = t.TS
-	return nil
-}
-
 // PublishBatch publishes a run of caller-timestamped tuples with a
 // single write: the frames are encoded back to back into the recycled
 // buffer and cross the network — and, server-side, the shard ring — as
-// one burst. Timestamps must be strictly increasing across the batch and
-// after the previous publish; a bad tuple leaves the session exactly as
-// it was (all-or-nothing, like Publish). The slice is not retained.
-func (p *Publisher) PublishBatch(tuples []*tuple.Tuple) error {
+// one burst. Timestamps must be strictly increasing — the group-aware
+// engine's region algebra depends on it — across the batch and after the
+// previous publish, and every tuple must use the advertised schema; a bad
+// tuple leaves the session exactly as it was (all-or-nothing). It applies
+// backpressure: it blocks while the server's shard queue for this source
+// is full, until ctx ends. The slice is not retained.
+func (p *Publisher) PublishBatch(ctx context.Context, tuples []*tuple.Tuple) error {
 	if len(tuples) == 0 {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return fmt.Errorf("server: publisher closed")
+		return errPublisherClosed
+	}
+	if err := p.watch.arm(ctx, p.conn, false); err != nil {
+		return err
 	}
 	lastTS := p.lastTS
 	buf := p.buf[:0]
@@ -251,21 +287,10 @@ func (p *Publisher) PublishBatch(tuples []*tuple.Tuple) error {
 	}
 	p.buf = buf
 	if _, err := p.conn.Write(p.buf); err != nil {
-		return fmt.Errorf("server: publishing batch: %w", err)
+		return p.watch.failed(ctx, fmt.Errorf("server: publishing: %w", err))
 	}
 	p.lastTS = lastTS
 	return nil
-}
-
-// PublishContext is Publish bounded by ctx (the write unblocks when ctx
-// fires).
-func (p *Publisher) PublishContext(ctx context.Context, t *tuple.Tuple) error {
-	return withConnCtx(ctx, p.conn, true, func() error { return p.Publish(t) })
-}
-
-// PublishBatchContext is PublishBatch bounded by ctx.
-func (p *Publisher) PublishBatchContext(ctx context.Context, tuples []*tuple.Tuple) error {
-	return withConnCtx(ctx, p.conn, true, func() error { return p.PublishBatch(tuples) })
 }
 
 // Sync is the publish barrier: it sends a ping and blocks until the
@@ -278,47 +303,54 @@ func (p *Publisher) Sync(ctx context.Context) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return fmt.Errorf("server: publisher closed")
+		return errPublisherClosed
+	}
+	if err := p.watch.arm(ctx, p.conn, false); err != nil {
+		return err
 	}
 	p.pingSeq++
 	var nonce [8]byte
 	binary.LittleEndian.PutUint64(nonce[:], p.pingSeq)
-	return withConnCtx(ctx, p.conn, false, func() error {
-		if err := WriteFrame(p.conn, FramePing, nonce[:]); err != nil {
-			return fmt.Errorf("server: sending ping: %w", err)
+	if err := WriteFrame(p.conn, FramePing, nonce[:]); err != nil {
+		return p.watch.failed(ctx, fmt.Errorf("server: sending ping: %w", err))
+	}
+	for {
+		kind, payload, err := ReadFrame(p.conn)
+		if err != nil {
+			return p.watch.failed(ctx, fmt.Errorf("server: awaiting pong: %w", err))
 		}
-		for {
-			kind, payload, err := ReadFrame(p.conn)
-			if err != nil {
-				return fmt.Errorf("server: awaiting pong: %w", err)
+		switch kind {
+		case FramePong:
+			if len(payload) == len(nonce) && [8]byte(payload) == nonce {
+				return nil
 			}
-			switch kind {
-			case FramePong:
-				if len(payload) == len(nonce) && [8]byte(payload) == nonce {
-					return nil
-				}
-				// A stale pong from an earlier timed-out Sync; keep
-				// waiting for ours.
-			case FrameGoodbye:
-				return goodbyeEnd(payload)
-			case FrameError:
-				return fmt.Errorf("server: remote error: %s", payload)
-			default:
-				return fmt.Errorf("server: unexpected frame kind %d awaiting pong", kind)
-			}
+			// A stale pong from an earlier timed-out Sync; keep
+			// waiting for ours.
+		case FrameGoodbye:
+			return goodbyeEnd(payload)
+		case FrameError:
+			return fmt.Errorf("server: remote error: %s", payload)
+		default:
+			return fmt.Errorf("server: unexpected frame kind %d awaiting pong", kind)
 		}
-	})
+	}
 }
 
 // Heartbeat tells the server the source is alive during a lull, resetting
 // its flow-gap timer.
-func (p *Publisher) Heartbeat() error {
+func (p *Publisher) Heartbeat(ctx context.Context) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return fmt.Errorf("server: publisher closed")
+		return errPublisherClosed
 	}
-	return WriteFrame(p.conn, FrameHeartbeat, nil)
+	if err := p.watch.arm(ctx, p.conn, false); err != nil {
+		return err
+	}
+	if err := WriteFrame(p.conn, FrameHeartbeat, nil); err != nil {
+		return p.watch.failed(ctx, err)
+	}
+	return nil
 }
 
 // Close ends the stream gracefully: the server finishes the source's
@@ -330,26 +362,10 @@ func (p *Publisher) Close() error {
 		return nil
 	}
 	p.closed = true
+	// A watcher a cancelled context fired would fail the goodbye.
+	p.watch.disarm()
 	_ = WriteFrame(p.conn, FrameGoodbye, nil)
 	return p.conn.Close()
-}
-
-// Delivery is one transmission received by a subscriber: the tuple, the
-// full destination label list the engine decided (this subscriber is one
-// of them), and the client receive instant.
-type Delivery struct {
-	Tuple *tuple.Tuple
-	// Destinations is read-only: Recv allocates it per delivery, RecvInto
-	// reuses its backing array and fills it with label strings interned
-	// per session, shared by every delivery that names the label.
-	Destinations []string
-	ReceivedAt   time.Time
-	// Offset is the durable log offset of this transmission, carried by
-	// every transmission frame. The checkpoint contract: after processing
-	// the delivery at offset o, resume with o+1 to continue exactly after
-	// it. Always 0 against a non-durable server, which refuses a resume
-	// with ErrResumeUnavailable.
-	Offset uint64
 }
 
 // Subscriber is a client-side application session: it joins a source's
@@ -374,9 +390,13 @@ type Subscriber struct {
 	// (0 until any arrives, read as scale 1).
 	qos atomic.Uint64
 
-	// watch is the armed receive-cancellation watcher, nil when none is;
-	// see armRecv.
-	watch atomic.Pointer[deadlineWatch]
+	// watch bounds receives on the read deadline, so that Close can still
+	// write its goodbye beside a receive a cancelled context interrupted.
+	watch keptWatch
+
+	// ended is set by the receive side once the server has retired the
+	// session: it sent the stream's goodbye or an eviction notice.
+	ended bool
 
 	mu     sync.Mutex
 	closed bool
@@ -409,16 +429,11 @@ type SubDialOpts struct {
 	RelayEdge string
 }
 
-// DialSubscriberOpts joins a source's group. spec is a quality
-// specification in the paper's notation, e.g. "DC1(temperature, 0.5,
-// 0.25)"; the returned subscriber carries the source schema from the
-// handshake.
-func DialSubscriberOpts(addr, app, source, spec string, o SubDialOpts) (*Subscriber, error) {
-	return dialSubscriber(context.Background(), addr, app, source, spec, o)
-}
-
-// dialSubscriber is DialSubscriberOpts with a dial that ctx cancels.
-func dialSubscriber(ctx context.Context, addr, app, source, spec string, o SubDialOpts) (*Subscriber, error) {
+// DialSubscriber joins a source's group. spec is a quality specification
+// in the paper's notation, e.g. "DC1(temperature, 0.5, 0.25)"; the
+// returned subscriber carries the source schema from the handshake. ctx
+// ends the dial and handshake early.
+func DialSubscriber(ctx context.Context, addr, app, source, spec string, o SubDialOpts) (*Subscriber, error) {
 	hello, err := EncodeSubHello(SubHello{App: app, Source: source, Spec: spec, Queue: o.Queue,
 		Resume: o.Resume, ResumeFrom: o.ResumeFrom, RelayEdge: o.RelayEdge})
 	if err != nil {
@@ -467,34 +482,30 @@ func (c *Subscriber) QoS() float64 {
 	return 1
 }
 
-// Recv blocks for the next delivery. It returns io.EOF-wrapped errors on
-// disconnect and a nil Delivery with ErrStreamEnded once the server ends
-// the stream gracefully (source finished or server drained).
-func (c *Subscriber) Recv() (*Delivery, error) {
-	body, offset, err := c.next()
-	if err != nil {
-		return nil, err
+// RecvInto blocks for the next delivery, until ctx ends, and decodes it
+// into d, reusing d.Tuple (allocated when nil), the Destinations backing
+// array, the session's payload buffer and its interned label strings. Once
+// those have reached their working size a delivery allocates nothing
+// (TestRecvIntoZeroAllocs), under a context that cannot be cancelled and
+// under one cancellable context passed again and again (see keptWatch); a
+// destination label not seen before costs its string. Everything
+// reachable from d is valid only until the next RecvInto with the same
+// Delivery; a consumer that retains tuples receives each into a fresh
+// Delivery. It returns io.EOF-wrapped errors on disconnect and
+// ErrStreamEnded once the server ends the stream gracefully (source
+// finished or server drained).
+func (c *Subscriber) RecvInto(ctx context.Context, d *session.Delivery) error {
+	if err := c.watch.arm(ctx, c.conn, true); err != nil {
+		return err
 	}
-	t, dests, n, err := wire.DecodeTransmission(c.schema, body)
-	if err == nil {
-		err = trailing(body, n)
+	if err := c.decodeNext(d); err != nil {
+		return c.watch.failed(ctx, err)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return &Delivery{Tuple: t, Destinations: dests, ReceivedAt: time.Now(), Offset: offset}, nil
+	return nil
 }
 
-// RecvInto is Recv without the per-delivery allocations: it blocks for the
-// next delivery and decodes it into d, reusing d.Tuple (allocated on first
-// use), the Destinations backing array, the session's payload buffer and
-// its interned label strings. Once those have reached their working size a
-// delivery allocates nothing (TestRecvIntoZeroAllocs); a destination label
-// not seen before costs its string. Everything reachable from d is valid
-// only until the next RecvInto with the same Delivery; consumers that
-// retain tuples across receives must use Recv. It returns ErrStreamEnded
-// like Recv.
-func (c *Subscriber) RecvInto(d *Delivery) error {
+// decodeNext reads the next transmission and decodes it into d.
+func (c *Subscriber) decodeNext(d *session.Delivery) error {
 	body, offset, err := c.next()
 	if err != nil {
 		return err
@@ -504,8 +515,8 @@ func (c *Subscriber) RecvInto(d *Delivery) error {
 	}
 	views, n, err := wire.DecodeTransmissionInto(d.Tuple, c.schema, c.labelViews[:0], body)
 	c.labelViews = views
-	if err == nil {
-		err = trailing(body, n)
+	if err == nil && n != len(body) {
+		err = fmt.Errorf("server: transmission frame carries %d trailing bytes", len(body)-n)
 	}
 	if err != nil {
 		return err
@@ -557,103 +568,16 @@ func (c *Subscriber) frame() (kind byte, payload []byte, err error) {
 		}
 		c.qos.Store(math.Float64bits(scale))
 	case FrameGoodbye:
+		c.ended = true
 		return 0, nil, goodbyeEnd(payload)
 	case FrameError:
-		return 0, nil, remoteError(payload)
+		err := remoteError(payload)
+		c.ended = errors.Is(err, ErrEvicted)
+		return 0, nil, err
 	default:
 		return 0, nil, fmt.Errorf("server: unexpected frame kind %d", kind)
 	}
 	return kind, payload, nil
-}
-
-// trailing rejects a transmission frame whose body is longer than the
-// n bytes its transmission decoded from.
-func trailing(body []byte, n int) error {
-	if n != len(body) {
-		return fmt.Errorf("server: transmission frame carries %d trailing bytes", len(body)-n)
-	}
-	return nil
-}
-
-// armRecv readies the session for one receive bounded by ctx. A context
-// that can never be cancelled needs nothing. A cancellable one needs a
-// watcher on the read deadline, which costs a channel, a registration and
-// a closure — so the watcher outlives the call that armed it and serves
-// every later call whose context has the same Done channel: a consumer
-// looping on one cancellable context pays for it once. armRecv reports
-// ctx's error when ctx is already done. The consumer side of a session is
-// single-threaded; only Close may run beside it.
-func (c *Subscriber) armRecv(ctx context.Context) error {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	if w := c.watch.Load(); w != nil {
-		if w.done == done {
-			select {
-			case <-done:
-				c.disarmRecv()
-				return ctx.Err()
-			default:
-				return nil
-			}
-		}
-		c.disarmRecv()
-	}
-	if done == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.watch.Store(watchDeadline(ctx, c.conn.SetReadDeadline))
-	return nil
-}
-
-// disarmRecv retires the armed watcher, if any, and reports whether it had
-// fired.
-func (c *Subscriber) disarmRecv() (fired bool) {
-	w := c.watch.Swap(nil)
-	return w != nil && w.retire()
-}
-
-// recvFailed settles a failed receive: the watcher is retired (the session
-// is ending, or the next call arms a fresh one), and when it was the
-// watcher that interrupted the read the context's error is reported
-// instead of the deadline error.
-func (c *Subscriber) recvFailed(ctx context.Context, err error) error {
-	if c.disarmRecv() {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-	}
-	return err
-}
-
-// RecvContext is Recv bounded by ctx (the blocking read unblocks when
-// ctx fires).
-func (c *Subscriber) RecvContext(ctx context.Context) (*Delivery, error) {
-	if err := c.armRecv(ctx); err != nil {
-		return nil, err
-	}
-	d, err := c.Recv()
-	if err != nil {
-		return nil, c.recvFailed(ctx, err)
-	}
-	return d, nil
-}
-
-// RecvIntoContext is RecvInto bounded by ctx. A context that cannot be
-// cancelled adds nothing to RecvInto; a cancellable one costs its watcher
-// once (see armRecv), not per delivery.
-func (c *Subscriber) RecvIntoContext(ctx context.Context, d *Delivery) error {
-	if err := c.armRecv(ctx); err != nil {
-		return err
-	}
-	if err := c.RecvInto(d); err != nil {
-		return c.recvFailed(ctx, err)
-	}
-	return nil
 }
 
 // Close leaves the group: the server removes this application's filter,
@@ -665,11 +589,9 @@ func (c *Subscriber) Close() error {
 		return nil
 	}
 	c.closed = true
-	if w := c.watch.Swap(nil); w != nil {
-		// Unregister only: the connection is going away, and a receive
-		// this Close is about to unblock may be running beside it.
-		w.stop()
-	}
+	// Unregister only: the connection is going away, and a receive this
+	// Close is about to unblock may be running beside it.
+	c.watch.drop()
 	_ = WriteFrame(c.conn, FrameGoodbye, nil)
 	return c.conn.Close()
 }
@@ -697,7 +619,9 @@ func (c *Subscriber) depart(timeout time.Duration) {
 // server's final goodbye, which the server writes only after this
 // application's filter has left the live group at a tuple boundary. When
 // Leave returns nil, the group has been re-derived without this member.
-// Leave must not race a concurrent Recv on the same session.
+// After a receive has reported the stream's end or an eviction the server
+// has already retired the member, and Leave only closes the connection.
+// Leave must not race a concurrent RecvInto on the same session.
 func (c *Subscriber) Leave(ctx context.Context) error {
 	c.mu.Lock()
 	if c.closed {
@@ -707,8 +631,12 @@ func (c *Subscriber) Leave(ctx context.Context) error {
 	c.closed = true
 	c.mu.Unlock()
 	// A receive watcher left armed would cut the drain below short.
-	c.disarmRecv()
-	err := withConnCtx(ctx, c.conn, false, func() error {
+	c.watch.disarm()
+	if c.ended {
+		c.conn.Close()
+		return nil
+	}
+	err := withConnCtx(ctx, c.conn, func() error {
 		if err := WriteFrame(c.conn, FrameGoodbye, nil); err != nil {
 			// The server already tore the session down (stream ended or
 			// drained); there is no group membership left to wait on.
@@ -747,6 +675,39 @@ func remoteError(payload []byte) error {
 	return fmt.Errorf("server: remote error: %s", payload)
 }
 
+// Redial is the one reconnect loop of the client sessions — the
+// subscriptions Resubscribe reopens and the sources gasf.Dial reopens. It
+// calls attempt until one succeeds, one fails for good (retry false), or
+// ctx ends; a failure that may heal is followed by delay(n) after the n'th
+// consecutive one. The error ending the loop early names what (the session
+// being reopened) and the last attempt's error.
+func Redial(ctx context.Context, what string, delay func(attempt int) time.Duration, attempt func() (retry bool, err error)) error {
+	for n := 0; ; n++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		retry, err := attempt()
+		if err == nil || !retry {
+			return err
+		}
+		if werr := sleepCtx(ctx, delay(n)); werr != nil {
+			return fmt.Errorf("server: %s: %w (last dial error: %v)", what, werr, err)
+		}
+	}
+}
+
+// sleepCtx waits for d, or until ctx ends, reporting ctx's error then.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // Resubscription describes a subscription for Resubscribe to reopen.
 type Resubscription struct {
 	App, Source, Spec string
@@ -768,51 +729,40 @@ type Resubscription struct {
 	Delay func(attempt int) time.Duration
 }
 
-// Resubscribe reopens a subscription, attempt after attempt, until one
-// succeeds or ctx ends. Attempts resume from the checkpoint while it
-// holds. A refused resume goes on live where the caller allows it; every
-// other failure (a server restarting, a source not yet reattached, an old
-// session the server has not yet seen die) is retried after the caller's
-// delay. It reports whether the session resumed.
+// Resubscribe reopens a subscription through Redial. Attempts resume from
+// the checkpoint while it holds. A refused resume goes on live at once
+// where the caller allows it; every other failure (a server restarting, a
+// source not yet reattached, an old session the server has not yet seen
+// die) is retried after the caller's delay. It reports whether the session
+// resumed.
 func Resubscribe(ctx context.Context, r Resubscription) (*Subscriber, bool, error) {
 	resume := r.Resume
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		addr, moved := r.Target()
-		if moved {
-			resume = false
-		}
+	var sub *Subscriber
+	dial := func(addr string) (err error) {
 		o := r.Opts
 		o.Resume, o.ResumeFrom = resume, 0
 		if resume {
 			o.ResumeFrom = r.From
 		}
-		sub, err := dialSubscriber(ctx, addr, r.App, r.Source, r.Spec, o)
-		if err == nil {
-			return sub, resume, nil
-		}
-		if resume && r.LiveFallback && errors.Is(err, ErrResumeUnavailable) {
+		sub, err = DialSubscriber(ctx, addr, r.App, r.Source, r.Spec, o)
+		return err
+	}
+	err := Redial(ctx, "resubscribing "+r.App+"/"+r.Source, r.Delay, func() (bool, error) {
+		addr, moved := r.Target()
+		if moved {
 			resume = false
-			continue
 		}
-		if werr := sleepCtx(ctx, r.Delay(attempt)); werr != nil {
-			return nil, false, fmt.Errorf("server: resubscribing %s/%s: %w (last dial error: %v)", r.App, r.Source, werr, err)
+		err := dial(addr)
+		if err != nil && resume && r.LiveFallback && errors.Is(err, ErrResumeUnavailable) {
+			resume = false
+			err = dial(addr)
 		}
+		return true, err
+	})
+	if err != nil {
+		return nil, false, err
 	}
-}
-
-// sleepCtx waits for d, or until ctx ends, reporting ctx's error then.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return sub, resume, nil
 }
 
 // ErrResumeUnavailable reports a subscriber handshake rejected because

@@ -84,7 +84,7 @@ func TestSubHelloVersions(t *testing.T) {
 // not reach.
 func TestResumeRejections(t *testing.T) {
 	plain := startServer(t, Config{})
-	if _, err := DialSubscriberOpts(plain.Addr().String(), "a", "src", "DC1(v, 0.5, 0)",
+	if _, err := DialSubscriber(context.Background(), plain.Addr().String(), "a", "src", "DC1(v, 0.5, 0)",
 		SubDialOpts{Resume: true}); err == nil {
 		t.Fatal("resume against a non-durable server succeeded")
 	}
@@ -92,14 +92,14 @@ func TestResumeRejections(t *testing.T) {
 	durable := startServer(t, Config{DataDir: t.TempDir()})
 	addr := durable.Addr().String()
 	sr := stepSeries(t, 10, 0)
-	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
 	// No subscriber is live, so nothing is logged and the head stays 0;
 	// any positive offset is beyond it.
-	if _, err := DialSubscriberOpts(addr, "a", "src", "DC1(v, 0.5, 0)",
+	if _, err := DialSubscriber(context.Background(), addr, "a", "src", "DC1(v, 0.5, 0)",
 		SubDialOpts{Resume: true, ResumeFrom: 1}); err == nil {
 		t.Fatal("resume beyond the log head succeeded")
 	}
@@ -125,7 +125,7 @@ func TestResumeSplice(t *testing.T) {
 	publish := func(sr *tuple.Series, pub *Publisher) {
 		t.Helper()
 		for i := 0; i < sr.Len(); i++ {
-			if err := pub.Publish(sr.At(i)); err != nil {
+			if err := publishOne(pub, sr.At(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -136,13 +136,13 @@ func TestResumeSplice(t *testing.T) {
 		}
 	}
 
-	pub, err := DialPublisherTimeout(addr, "src", wave1.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", wave1.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// "b" anchors the group: it consumes everything concurrently (block
 	// policy) and keeps at least one member live at every release.
-	subB, err := DialSubscriberOpts(addr, "b", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+	subB, err := DialSubscriber(context.Background(), addr, "b", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +150,14 @@ func TestResumeSplice(t *testing.T) {
 	go func() {
 		n := 0
 		for {
-			if _, err := subB.Recv(); err != nil {
+			if _, err := recvOne(subB); err != nil {
 				bDone <- n
 				return
 			}
 			n++
 		}
 	}()
-	subA, err := DialSubscriberOpts(addr, "a", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+	subA, err := DialSubscriber(context.Background(), addr, "a", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestResumeSplice(t *testing.T) {
 	const consumed = 50
 	var checkpoint uint64
 	for i := 0; i < consumed; i++ {
-		d, err := subA.Recv()
+		d, err := recvOne(subA)
 		if err != nil {
 			t.Fatalf("delivery %d: %v", i, err)
 		}
@@ -190,7 +190,7 @@ func TestResumeSplice(t *testing.T) {
 	publish(wave2, pub)
 
 	// Resume from the checkpoint; the fence is captured at the join.
-	subA2, err := DialSubscriberOpts(addr, "a", "src", "DC1(v, 0.5, 0)",
+	subA2, err := DialSubscriber(context.Background(), addr, "a", "src", "DC1(v, 0.5, 0)",
 		SubDialOpts{Resume: true, ResumeFrom: checkpoint + 1})
 	if err != nil {
 		t.Fatal(err)
@@ -264,20 +264,20 @@ func TestFramePoolBalancedUnderChurn(t *testing.T) {
 	for si := 0; si < sources; si++ {
 		source := fmt.Sprintf("src%d", si)
 		sr := stepSeries(t, tuplesPerSrc, 0)
-		pub, err := DialPublisherTimeout(addr, source, sr.Schema(), 0)
+		pub, err := DialPublisher(context.Background(), addr, source, sr.Schema(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A subscriber that never reads: its queue (depth 1) overflows
 		// immediately, exercising the drop-release path all stream long.
-		if _, err := DialSubscriberOpts(addr, "stuck", source, "DC1(v, 0.5, 0)", SubDialOpts{}); err != nil {
+		if _, err := DialSubscriber(context.Background(), addr, "stuck", source, "DC1(v, 0.5, 0)", SubDialOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
 		go func(pub *Publisher, source string) {
 			defer wg.Done()
 			for i := 0; i < sr.Len(); i++ {
-				if err := pub.Publish(sr.At(i)); err != nil {
+				if err := publishOne(pub, sr.At(i)); err != nil {
 					errs <- fmt.Errorf("%s publish %d: %w", source, i, err)
 					return
 				}
@@ -291,13 +291,13 @@ func TestFramePoolBalancedUnderChurn(t *testing.T) {
 			go func(ci int, source string) {
 				defer wg.Done()
 				for round := 0; round < 4; round++ {
-					sub, err := DialSubscriberOpts(addr, fmt.Sprintf("churn%d", ci), source, "DC1(v, 0.5, 0)", SubDialOpts{})
+					sub, err := DialSubscriber(context.Background(), addr, fmt.Sprintf("churn%d", ci), source, "DC1(v, 0.5, 0)", SubDialOpts{})
 					if err != nil {
 						// The source may already have finished.
 						return
 					}
 					for i := 0; i < 40; i++ {
-						if _, err := sub.Recv(); err != nil {
+						if _, err := recvOne(sub); err != nil {
 							break
 						}
 					}
@@ -354,7 +354,7 @@ func TestSyncedSourceSurvivesGapScan(t *testing.T) {
 	addr := srv.Addr().String()
 	sr := stepSeries(t, tuples, 0)
 
-	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestSyncedSourceSurvivesGapScan(t *testing.T) {
 	// buffer caps how much the kernel absorbs, so the server's writer
 	// blocks early and backpressure reaches the ring well within the
 	// published volume.
-	sub, err := DialSubscriberOpts(addr, "slow", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+	sub, err := DialSubscriber(context.Background(), addr, "slow", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestSyncedSourceSurvivesGapScan(t *testing.T) {
 	synced := make(chan error, 1)
 	go func() {
 		for i := 0; i < sr.Len(); i++ {
-			if err := pub.Publish(sr.At(i)); err != nil {
+			if err := publishOne(pub, sr.At(i)); err != nil {
 				pubErr <- fmt.Errorf("publish %d: %w", i, err)
 				return
 			}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gasf/internal/federate"
+	"gasf/internal/session"
 )
 
 // TestFederatedLegTransitions pins the leg lifecycle at its transition
@@ -153,7 +154,7 @@ func TestFederatedLegShutdownDuringFirstDial(t *testing.T) {
 
 	refused := make(chan error, 1)
 	go func() {
-		sub, err := DialSubscriberOpts(f.edge.Addr().String(), "g", "s1", "DC1(v, 0.5, 0)", SubDialOpts{Timeout: 10 * time.Second})
+		sub, err := DialSubscriber(context.Background(), f.edge.Addr().String(), "g", "s1", "DC1(v, 0.5, 0)", SubDialOpts{Timeout: 10 * time.Second})
 		if err == nil {
 			sub.Close()
 		}
@@ -193,14 +194,14 @@ func TestFederatedLegLastLeaveRacesJoin(t *testing.T) {
 	const rounds, perRound = 12, 40
 	f := newLegFixture(t, "")
 	sr := stepSeries(t, (rounds+1)*perRound, 0)
-	pub, err := DialPublisherTimeout(f.core.Addr().String(), "s1", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), f.core.Addr().String(), "s1", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	edgeAddr := f.edge.Addr().String()
 	join := func() *Subscriber {
 		t.Helper()
-		sub, err := DialSubscriberOpts(edgeAddr, "g", "s1", "DC1(v, 0.5, 0)", SubDialOpts{})
+		sub, err := DialSubscriber(context.Background(), edgeAddr, "g", "s1", "DC1(v, 0.5, 0)", SubDialOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,14 +213,14 @@ func TestFederatedLegLastLeaveRacesJoin(t *testing.T) {
 	// last tuple may come first: it was released after the join.
 	expect := func(r int, sub *Subscriber) {
 		t.Helper()
-		if err := pub.PublishBatch(sr.Tuples()[r*perRound : (r+1)*perRound]); err != nil {
+		if err := pub.PublishBatch(context.Background(), sr.Tuples()[r*perRound:(r+1)*perRound]); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := ctxTimeout()
 		defer cancel()
-		var d Delivery
+		var d session.Delivery
 		for want := r * perRound; want < (r+1)*perRound-1; want++ {
-			if err := sub.RecvIntoContext(ctx, &d); err != nil {
+			if err := sub.RecvInto(ctx, &d); err != nil {
 				t.Fatalf("round %d: delivery %d: %v", r, want, err)
 			}
 			if d.Tuple.Seq == r*perRound-1 && want == r*perRound {
@@ -271,12 +272,12 @@ func TestFederatedLegLastLeaveRacesJoin(t *testing.T) {
 	}
 	ctx, cancel := ctxTimeout()
 	defer cancel()
-	var d Delivery
+	var d session.Delivery
 	last := (rounds+1)*perRound - 1
-	if err := cur.RecvIntoContext(ctx, &d); err != nil || d.Tuple.Seq != last {
+	if err := cur.RecvInto(ctx, &d); err != nil || d.Tuple.Seq != last {
 		t.Fatalf("at the finish: %v, want tuple %d", err, last)
 	}
-	if err := cur.RecvIntoContext(ctx, &d); !errors.Is(err, ErrStreamEnded) {
+	if err := cur.RecvInto(ctx, &d); !errors.Is(err, ErrStreamEnded) {
 		t.Fatalf("after the source finished: %v, want ErrStreamEnded", err)
 	}
 	cur.Close()
@@ -298,15 +299,15 @@ func TestFederatedLegFinishThenJoin(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		source := fmt.Sprintf("s%d", r)
 		sr := stepSeries(t, 20, 0)
-		pub, err := DialPublisherTimeout(f.core.Addr().String(), source, sr.Schema(), 0)
+		pub, err := DialPublisher(context.Background(), f.core.Addr().String(), source, sr.Schema(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, err := DialSubscriberOpts(edgeAddr, "g", source, "DC1(v, 0.5, 0)", SubDialOpts{})
+		first, err := DialSubscriber(context.Background(), edgeAddr, "g", source, "DC1(v, 0.5, 0)", SubDialOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pub.PublishBatch(sr.Tuples()); err != nil {
+		if err := pub.PublishBatch(context.Background(), sr.Tuples()); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
@@ -315,16 +316,16 @@ func TestFederatedLegFinishThenJoin(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for attempt := 0; attempt < 50; attempt++ {
-					sub, err := DialSubscriberOpts(edgeAddr, "g", source, "DC1(v, 0.5, 0)", SubDialOpts{})
+					sub, err := DialSubscriber(context.Background(), edgeAddr, "g", source, "DC1(v, 0.5, 0)", SubDialOpts{})
 					if err != nil {
 						refused.Add(1)
 						return // the source is gone
 					}
 					accepted.Add(1)
 					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-					var d Delivery
+					var d session.Delivery
 					for err == nil {
-						err = sub.RecvIntoContext(ctx, &d)
+						err = sub.RecvInto(ctx, &d)
 					}
 					cancel()
 					sub.Close()

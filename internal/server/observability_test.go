@@ -32,16 +32,16 @@ func TestMetricsStrictExposition(t *testing.T) {
 	addr := s.Addr().String()
 	sr := stepSeries(t, 200, 0)
 
-	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := DialSubscriberOpts(addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+	sub, err := DialSubscriber(context.Background(), addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < sr.Len(); i++ {
-		if err := pub.Publish(sr.At(i)); err != nil {
+		if err := publishOne(pub, sr.At(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestReadyzDrainWindow(t *testing.T) {
 	sr := stepSeries(t, 1, 0)
 	// A connected publisher holds the drain window open: Shutdown
 	// waits up to DrainGrace for it to finish.
-	pub, err := DialPublisherTimeout(s.Addr().String(), "src", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), s.Addr().String(), "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,18 +143,18 @@ func TestDebugEndpoint(t *testing.T) {
 	s := startServer(t, Config{TelemetrySampleEvery: 1})
 	addr := s.Addr().String()
 	sr := stepSeries(t, 50, 0)
-	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	sub, err := DialSubscriberOpts(addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+	sub, err := DialSubscriber(context.Background(), addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
 	for i := 0; i < sr.Len(); i++ {
-		if err := pub.Publish(sr.At(i)); err != nil {
+		if err := publishOne(pub, sr.At(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

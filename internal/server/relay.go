@@ -323,7 +323,7 @@ func (leg *relayLeg) dialFirst() error {
 			err = fmt.Errorf("server: no core topology to place source %q", leg.key.source)
 			break
 		}
-		sub, err = dialSubscriber(leg.ctx, core.Addr, leg.key.app, leg.key.source, leg.key.spec, leg.dialOpts())
+		sub, err = DialSubscriber(leg.ctx, core.Addr, leg.key.app, leg.key.source, leg.key.spec, leg.dialOpts())
 		if err == nil || !errors.Is(err, ErrAlreadySubscribed) || time.Now().After(deadline) ||
 			sleepCtx(leg.ctx, 20*time.Millisecond) != nil {
 			break

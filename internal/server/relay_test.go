@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gasf/internal/federate"
+	"gasf/internal/session"
 )
 
 // TestSubHelloRelayVersion pins the relay flag of the handshake: the
@@ -108,7 +109,7 @@ func TestFramePoolBalancedAcrossFederatedTeardown(t *testing.T) {
 			}
 			const tuples = 20000
 			sr := stepSeries(t, tuples, 0)
-			pub, err := DialPublisherTimeout(core.Addr().String(), "s1", sr.Schema(), 0)
+			pub, err := DialPublisher(context.Background(), core.Addr().String(), "s1", sr.Schema(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +121,7 @@ func TestFramePoolBalancedAcrossFederatedTeardown(t *testing.T) {
 				for m := 0; m < 2; m++ {
 					// One group per edge: an app name is unique per source
 					// at the core, whichever edge relays it.
-					sub, err := DialSubscriberOpts(edge.Addr().String(), fmt.Sprintf("g%d", i), "s1", "DC1(v, 0.5, 0)", SubDialOpts{})
+					sub, err := DialSubscriber(context.Background(), edge.Addr().String(), fmt.Sprintf("g%d", i), "s1", "DC1(v, 0.5, 0)", SubDialOpts{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -128,8 +129,8 @@ func TestFramePoolBalancedAcrossFederatedTeardown(t *testing.T) {
 					go func() {
 						defer subs.Done()
 						defer sub.Close()
-						var d Delivery
-						for sub.RecvIntoContext(context.Background(), &d) == nil {
+						var d session.Delivery
+						for sub.RecvInto(context.Background(), &d) == nil {
 							received.Add(1)
 						}
 					}()
@@ -139,7 +140,7 @@ func TestFramePoolBalancedAcrossFederatedTeardown(t *testing.T) {
 			go func() {
 				defer close(published)
 				for off := 0; off < tuples; off += 64 {
-					if pub.PublishBatchContext(context.Background(), sr.Tuples()[off:min(off+64, tuples)]) != nil {
+					if pub.PublishBatch(context.Background(), sr.Tuples()[off:min(off+64, tuples)]) != nil {
 						return // the core went down under the publisher
 					}
 				}

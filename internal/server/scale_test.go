@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sort"
@@ -63,7 +64,7 @@ func TestHandshakeLatencyUnderIdleLoad(t *testing.T) {
 	lats := make([]time.Duration, 0, probes)
 	for i := 0; i < probes; i++ {
 		start := time.Now()
-		pub, err := DialPublisherTimeout(addr, fmt.Sprintf("probe%d", i), schema, 0)
+		pub, err := DialPublisher(context.Background(), addr, fmt.Sprintf("probe%d", i), schema, 0)
 		if err != nil {
 			t.Fatalf("handshake %d under idle load: %v", i, err)
 		}
@@ -105,7 +106,7 @@ func TestExpiryUnderChurn(t *testing.T) {
 	const survivors = 8
 	const silent = 8
 	for i := 0; i < silent; i++ {
-		pub, err := DialPublisherTimeout(addr, fmt.Sprintf("quiet%d", i), schema, 0)
+		pub, err := DialPublisher(context.Background(), addr, fmt.Sprintf("quiet%d", i), schema, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func TestExpiryUnderChurn(t *testing.T) {
 	}
 	hbPubs := make([]*Publisher, survivors)
 	for i := range hbPubs {
-		pub, err := DialPublisherTimeout(addr, fmt.Sprintf("hb%d", i), schema, 0)
+		pub, err := DialPublisher(context.Background(), addr, fmt.Sprintf("hb%d", i), schema, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func TestExpiryUnderChurn(t *testing.T) {
 				case <-stop:
 					return
 				case <-time.After(25 * time.Millisecond):
-					if err := pub.Heartbeat(); err != nil {
+					if err := pub.Heartbeat(context.Background()); err != nil {
 						hbErr.Store(fmt.Errorf("survivor hb%d lost its session: %w", i, err))
 						return
 					}
@@ -157,7 +158,7 @@ func TestExpiryUnderChurn(t *testing.T) {
 				if i%2 == 0 {
 					source = fmt.Sprintf("quiet%d", (g+i)%silent)
 				}
-				sub, err := DialSubscriberOpts(addr, fmt.Sprintf("churn%d", g), source, "DC1(v, 0.5, 0)", SubDialOpts{})
+				sub, err := DialSubscriber(context.Background(), addr, fmt.Sprintf("churn%d", g), source, "DC1(v, 0.5, 0)", SubDialOpts{})
 				if err != nil {
 					continue // the source may just have expired
 				}
@@ -183,7 +184,7 @@ func TestExpiryUnderChurn(t *testing.T) {
 	}
 	// Every survivor still answers.
 	for i, pub := range hbPubs {
-		if err := pub.Heartbeat(); err != nil {
+		if err := pub.Heartbeat(context.Background()); err != nil {
 			t.Errorf("survivor hb%d dead after churn: %v", i, err)
 		}
 	}

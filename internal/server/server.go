@@ -234,7 +234,6 @@ type Server struct {
 
 	srcWG  sync.WaitGroup // source session readers
 	connWG sync.WaitGroup // every session goroutine
-	stop   chan struct{}  // interrupts relay dial backoff
 
 	// Tier 2 of the flow-gap detector (tier 1, the wheel over connected
 	// sessions, is the core's): sketch is the bounded-memory last-heard
@@ -296,7 +295,6 @@ func Start(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		ln:    ln,
-		stop:  make(chan struct{}),
 		lg:    cfg.resolveLogger(),
 		names: intern.New(0),
 		topo:  topo,
@@ -995,7 +993,6 @@ func (s *Server) shutdown(ctx context.Context) error {
 	s.draining = true
 	s.mu.Unlock()
 	s.ln.Close()
-	close(s.stop)
 	if s.fed != nil {
 		// Tear down the upstream legs first: every local member's stream
 		// then finishes with the drain-tagged goodbye, and the cores

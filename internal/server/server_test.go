@@ -13,6 +13,7 @@ import (
 	"gasf/internal/core"
 	"gasf/internal/filter"
 	"gasf/internal/quality"
+	"gasf/internal/session"
 	"gasf/internal/trace"
 	"gasf/internal/tuple"
 	"gasf/internal/wire"
@@ -70,12 +71,12 @@ func stepSeries(t *testing.T, n, offset int) *tuple.Series {
 // publishSeries streams a whole series then closes the publisher.
 func publishSeries(t *testing.T, addr, source string, sr *tuple.Series) {
 	t.Helper()
-	pub, err := DialPublisherTimeout(addr, source, sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, source, sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < sr.Len(); i++ {
-		if err := pub.Publish(sr.At(i)); err != nil {
+		if err := publishOne(pub, sr.At(i)); err != nil {
 			t.Fatalf("publishing tuple %d: %v", i, err)
 		}
 	}
@@ -84,12 +85,26 @@ func publishSeries(t *testing.T, addr, source string, sr *tuple.Series) {
 	}
 }
 
+// publishOne publishes one tuple as a one-element batch.
+func publishOne(pub *Publisher, t *tuple.Tuple) error {
+	return pub.PublishBatch(context.Background(), []*tuple.Tuple{t})
+}
+
+// recvOne receives the next delivery into a fresh Delivery.
+func recvOne(sub *Subscriber) (*session.Delivery, error) {
+	d := new(session.Delivery)
+	if err := sub.RecvInto(context.Background(), d); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // recvAll drains a subscriber until the stream ends gracefully.
-func recvAll(t *testing.T, sub *Subscriber) []*Delivery {
+func recvAll(t *testing.T, sub *Subscriber) []*session.Delivery {
 	t.Helper()
-	var out []*Delivery
+	var out []*session.Delivery
 	for {
-		d, err := sub.Recv()
+		d, err := recvOne(sub)
 		if errors.Is(err, ErrStreamEnded) {
 			return out
 		}
@@ -107,30 +122,30 @@ func TestPublishSubscribeEndToEnd(t *testing.T) {
 	addr := s.Addr().String()
 	sr := namosSeries(t, 300)
 
-	pub, err := DialPublisherTimeout(addr, "buoy", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, "buoy", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subA, err := DialSubscriberOpts(addr, "A", "buoy", "DC1(fluoro, 0.3, 0.15)", SubDialOpts{})
+	subA, err := DialSubscriber(context.Background(), addr, "A", "buoy", "DC1(fluoro, 0.3, 0.15)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := subA.Schema().String(), sr.Schema().String(); got != want {
 		t.Fatalf("handshake schema %s, want %s", got, want)
 	}
-	subB, err := DialSubscriberOpts(addr, "B", "buoy", "DC1(fluoro, 0.5, 0.25)", SubDialOpts{})
+	subB, err := DialSubscriber(context.Background(), addr, "B", "buoy", "DC1(fluoro, 0.5, 0.25)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var wg sync.WaitGroup
-	var dA, dB []*Delivery
+	var dA, dB []*session.Delivery
 	wg.Add(2)
 	go func() { defer wg.Done(); dA = recvAll(t, subA) }()
 	go func() { defer wg.Done(); dB = recvAll(t, subB) }()
 
 	for i := 0; i < sr.Len(); i++ {
-		if err := pub.Publish(sr.At(i)); err != nil {
+		if err := publishOne(pub, sr.At(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,11 +188,11 @@ func TestBatchPublishRecvInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := DialPublisherTimeout(addr, "burst", schema, 0)
+	pub, err := DialPublisher(context.Background(), addr, "burst", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := DialSubscriberOpts(addr, "A", "burst", "DC1(v, 0.5, 0)", SubDialOpts{})
+	sub, err := DialSubscriber(context.Background(), addr, "A", "burst", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +204,9 @@ func TestBatchPublishRecvInto(t *testing.T) {
 	var labels []string
 	go func() {
 		defer wg.Done()
-		var d Delivery
+		var d session.Delivery
 		for {
-			err := sub.RecvInto(&d)
+			err := sub.RecvInto(context.Background(), &d)
 			if err == ErrStreamEnded {
 				return
 			}
@@ -204,7 +219,7 @@ func TestBatchPublishRecvInto(t *testing.T) {
 		}
 	}()
 	// Mixed burst sizes, including a single-tuple batch and one empty.
-	if err := pub.PublishBatch(nil); err != nil {
+	if err := pub.PublishBatch(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	batch := make([]*tuple.Tuple, 0, 64)
@@ -223,7 +238,7 @@ func TestBatchPublishRecvInto(t *testing.T) {
 			}
 			batch = append(batch, tp)
 		}
-		if err := pub.PublishBatch(batch); err != nil {
+		if err := pub.PublishBatch(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		n += k
@@ -296,13 +311,13 @@ func TestNetworkedEquivalence(t *testing.T) {
 	// before the publisher streams.
 	s := startServer(t, Config{})
 	addr := s.Addr().String()
-	pub, err := DialPublisherTimeout(addr, "buoy", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, "buoy", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	subs := make([]*Subscriber, len(specs))
 	for i, sp := range specs {
-		subs[i], err = DialSubscriberOpts(addr, sp.app, "buoy", sp.spec, SubDialOpts{})
+		subs[i], err = DialSubscriber(context.Background(), addr, sp.app, "buoy", sp.spec, SubDialOpts{})
 		if err != nil {
 			t.Fatalf("subscribing %s: %v", sp.app, err)
 		}
@@ -325,7 +340,7 @@ func TestNetworkedEquivalence(t *testing.T) {
 		}(i)
 	}
 	for i := 0; i < sr.Len(); i++ {
-		if err := pub.Publish(sr.At(i)); err != nil {
+		if err := publishOne(pub, sr.At(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,29 +366,29 @@ func TestHandshakeRejections(t *testing.T) {
 	addr := s.Addr().String()
 	sr := stepSeries(t, 1, 0)
 
-	if _, err := DialSubscriberOpts(addr, "A", "ghost", "DC1(v, 0.5, 0)", SubDialOpts{}); err == nil {
+	if _, err := DialSubscriber(context.Background(), addr, "A", "ghost", "DC1(v, 0.5, 0)", SubDialOpts{}); err == nil {
 		t.Fatal("subscribing to unknown source succeeded")
 	}
-	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	if _, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0); err == nil {
+	if _, err := DialPublisher(context.Background(), addr, "src", sr.Schema(), 0); err == nil {
 		t.Fatal("duplicate source name succeeded")
 	}
-	if _, err := DialSubscriberOpts(addr, "A", "src", "DC1(nope, 0.5, 0)", SubDialOpts{}); err == nil {
+	if _, err := DialSubscriber(context.Background(), addr, "A", "src", "DC1(nope, 0.5, 0)", SubDialOpts{}); err == nil {
 		t.Fatal("subscribing with unknown attribute succeeded")
 	}
-	if _, err := DialSubscriberOpts(addr, "A", "src", "garbage", SubDialOpts{}); err == nil {
+	if _, err := DialSubscriber(context.Background(), addr, "A", "src", "garbage", SubDialOpts{}); err == nil {
 		t.Fatal("subscribing with malformed spec succeeded")
 	}
-	subA, err := DialSubscriberOpts(addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+	subA, err := DialSubscriber(context.Background(), addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer subA.Close()
-	if _, err := DialSubscriberOpts(addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{}); err == nil {
+	if _, err := DialSubscriber(context.Background(), addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{}); err == nil {
 		t.Fatal("duplicate app name succeeded")
 	}
 	if s.Counters().HandshakeRejects == 0 {
@@ -423,17 +438,17 @@ func TestSlowConsumerDrop(t *testing.T) {
 	addr := s.Addr().String()
 	sr := wideSeries(t, n)
 
-	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The fast subscriber's queue holds the whole stream, so it can
 	// never drop; the slow one's 4-slot queue overflows immediately.
-	fast, err := DialSubscriberOpts(addr, "fast", "src", "DC1(a0, 0.5, 0)", SubDialOpts{Queue: n + 16})
+	fast, err := DialSubscriber(context.Background(), addr, "fast", "src", "DC1(a0, 0.5, 0)", SubDialOpts{Queue: n + 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := DialSubscriberOpts(addr, "slow", "src", "DC1(a0, 0.5, 0)", SubDialOpts{Queue: 4})
+	slow, err := DialSubscriber(context.Background(), addr, "slow", "src", "DC1(a0, 0.5, 0)", SubDialOpts{Queue: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,11 +457,11 @@ func TestSlowConsumerDrop(t *testing.T) {
 	// publisher must stay unaffected throughout.
 	defer slow.Close()
 
-	var fastGot []*Delivery
+	var fastGot []*session.Delivery
 	done := make(chan struct{})
 	go func() { defer close(done); fastGot = recvAll(t, fast) }()
 	for i := 0; i < sr.Len(); i++ {
-		if err := pub.Publish(sr.At(i)); err != nil {
+		if err := publishOne(pub, sr.At(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -480,24 +495,24 @@ func TestSourceExpiry(t *testing.T) {
 	addr := s.Addr().String()
 	sr := stepSeries(t, 10, 0)
 
-	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	sub, err := DialSubscriberOpts(addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+	sub, err := DialSubscriber(context.Background(), addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < sr.Len(); i++ {
-		if err := pub.Publish(sr.At(i)); err != nil {
+		if err := publishOne(pub, sr.At(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Heartbeats hold the session open through one timeout window.
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if err := pub.Heartbeat(); err != nil {
+		if err := pub.Heartbeat(context.Background()); err != nil {
 			t.Fatalf("heartbeat rejected: %v", err)
 		}
 		time.Sleep(25 * time.Millisecond)
@@ -526,19 +541,19 @@ func TestGracefulShutdown(t *testing.T) {
 	addr := s.Addr().String()
 	n := 500
 	sr := stepSeries(t, n, 0)
-	pub, err := DialPublisherTimeout(addr, "src", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := DialSubscriberOpts(addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+	sub, err := DialSubscriber(context.Background(), addr, "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []*Delivery
+	var got []*session.Delivery
 	done := make(chan struct{})
 	go func() { defer close(done); got = recvAll(t, sub) }()
 	for i := 0; i < sr.Len(); i++ {
-		if err := pub.Publish(sr.At(i)); err != nil {
+		if err := publishOne(pub, sr.At(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -567,16 +582,16 @@ func TestDrainGoodbyeTagged(t *testing.T) {
 	// A source-finish end must stay untagged.
 	s1 := startServer(t, Config{})
 	sr := stepSeries(t, 10, 0)
-	pub1, err := DialPublisherTimeout(s1.Addr().String(), "src", sr.Schema(), 0)
+	pub1, err := DialPublisher(context.Background(), s1.Addr().String(), "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub1, err := DialSubscriberOpts(s1.Addr().String(), "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+	sub1, err := DialSubscriber(context.Background(), s1.Addr().String(), "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < sr.Len(); i++ {
-		if err := pub1.Publish(sr.At(i)); err != nil {
+		if err := publishOne(pub1, sr.At(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -584,7 +599,7 @@ func TestDrainGoodbyeTagged(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		_, err := sub1.Recv()
+		_, err := recvOne(sub1)
 		if err == nil {
 			continue
 		}
@@ -603,16 +618,16 @@ func TestDrainGoodbyeTagged(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s2.Shutdown(ctx) })
-	pub, err := DialPublisherTimeout(s2.Addr().String(), "src", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), s2.Addr().String(), "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub2, err := DialSubscriberOpts(s2.Addr().String(), "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+	sub2, err := DialSubscriber(context.Background(), s2.Addr().String(), "A", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < sr.Len(); i++ {
-		if err := pub.Publish(sr.At(i)); err != nil {
+		if err := publishOne(pub, sr.At(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -622,7 +637,7 @@ func TestDrainGoodbyeTagged(t *testing.T) {
 	subErr := make(chan error, 1)
 	go func() {
 		for {
-			if _, err := sub2.Recv(); err != nil {
+			if _, err := recvOne(sub2); err != nil {
 				subErr <- err
 				return
 			}
@@ -698,16 +713,16 @@ func TestMetricsEndpoints(t *testing.T) {
 func TestPublisherTimestampValidation(t *testing.T) {
 	s := startServer(t, Config{})
 	sr := stepSeries(t, 2, 0)
-	pub, err := DialPublisherTimeout(s.Addr().String(), "src", sr.Schema(), 0)
+	pub, err := DialPublisher(context.Background(), s.Addr().String(), "src", sr.Schema(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
 	// The client itself refuses disorder.
-	if err := pub.Publish(sr.At(1)); err != nil {
+	if err := publishOne(pub, sr.At(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.Publish(sr.At(0)); err == nil {
+	if err := publishOne(pub, sr.At(0)); err == nil {
 		t.Fatal("client accepted a timestamp regression")
 	}
 }

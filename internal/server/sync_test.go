@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -40,7 +42,7 @@ func TestPublisherSyncBarrier(t *testing.T) {
 	addr := srv.Addr().String()
 	ctx := syncCtx(t)
 	schema := tuple.MustSchema("v")
-	pub, err := DialPublisherTimeout(addr, "src", schema, 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestPublisherSyncBarrier(t *testing.T) {
 	for seq := 0; seq < boundary; seq++ {
 		batch = append(batch, mk(seq))
 	}
-	if err := pub.PublishBatch(batch); err != nil {
+	if err := pub.PublishBatch(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := pub.Sync(ctx); err != nil {
@@ -62,7 +64,7 @@ func TestPublisherSyncBarrier(t *testing.T) {
 	// The join lands at the barrier: the server has submitted all 64
 	// tuples to the ring before the subscriber's AddFilter control could
 	// enqueue.
-	sub, err := DialSubscriberOpts(addr, "late", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+	sub, err := DialSubscriber(context.Background(), addr, "late", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestPublisherSyncBarrier(t *testing.T) {
 	for seq := boundary; seq < boundary+16; seq++ {
 		batch = append(batch, mk(seq))
 	}
-	if err := pub.PublishBatch(batch); err != nil {
+	if err := pub.PublishBatch(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := pub.Close(); err != nil {
@@ -78,7 +80,7 @@ func TestPublisherSyncBarrier(t *testing.T) {
 	}
 	got := 0
 	for {
-		d, err := sub.Recv()
+		d, err := recvOne(sub)
 		if err != nil {
 			if err != ErrStreamEnded {
 				t.Fatalf("recv: %v", err)
@@ -104,16 +106,16 @@ func TestSubscriberLeaveAck(t *testing.T) {
 	addr := srv.Addr().String()
 	ctx := syncCtx(t)
 	schema := tuple.MustSchema("v")
-	pub, err := DialPublisherTimeout(addr, "src", schema, 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 8; round++ {
-		sub, err := DialSubscriberOpts(addr, "app", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+		sub, err := DialSubscriber(context.Background(), addr, "app", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
 		if err != nil {
 			t.Fatalf("round %d: subscribe: %v", round, err)
 		}
-		if err := pub.Publish(tuple.MustNew(schema, round, time.Unix(0, int64(round+1)*int64(time.Millisecond)), []float64{float64(round)})); err != nil {
+		if err := publishOne(pub, tuple.MustNew(schema, round, time.Unix(0, int64(round+1)*int64(time.Millisecond)), []float64{float64(round)})); err != nil {
 			t.Fatalf("round %d: publish: %v", round, err)
 		}
 		if err := pub.Sync(ctx); err != nil {
@@ -129,6 +131,55 @@ func TestSubscriberLeaveAck(t *testing.T) {
 	}
 }
 
+// TestLeaveAfterStreamEnded pins Leave on a session whose stream has
+// already ended: the server retired the member when it sent the goodbye,
+// so Leave owes it nothing and returns nil. The fake server answers the
+// hello, sends the goodbye, and closes with the client's own goodbye
+// unread — which resets the connection, so a Leave that still wrote and
+// waited for an ack would report "connection reset by peer".
+func TestLeaveAfterStreamEnded(t *testing.T) {
+	schema := tuple.MustSchema("v")
+	ok, err := EncodeSchema(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, _, err := ReadFrame(conn); err == nil {
+				WriteFrame(conn, FrameHelloOK, ok)
+				WriteFrame(conn, FrameGoodbye, nil)
+				time.Sleep(100 * time.Millisecond) // the client's goodbye arrives unread
+			}
+			conn.Close()
+		}
+	}()
+	for round := 0; round < 10; round++ {
+		sub, err := DialSubscriber(context.Background(), ln.Addr().String(), "app", "src", "DC1(v, 0.5, 0)", SubDialOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recvOne(sub); !errors.Is(err, ErrStreamEnded) {
+			t.Fatalf("round %d: receive returned %v, want ErrStreamEnded", round, err)
+		}
+		if err := sub.Leave(syncCtx(t)); err != nil {
+			t.Fatalf("round %d: leave after the stream ended: %v", round, err)
+		}
+	}
+	ln.Close()
+	<-served
+}
+
 // TestSyncAfterShutdownReportsEnd proves Sync surfaces the server's
 // drain as a stream end, not a hang.
 func TestSyncAfterShutdownReportsEnd(t *testing.T) {
@@ -138,7 +189,7 @@ func TestSyncAfterShutdownReportsEnd(t *testing.T) {
 	}
 	addr := srv.Addr().String()
 	schema := tuple.MustSchema("v")
-	pub, err := DialPublisherTimeout(addr, "src", schema, 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,18 +214,18 @@ func TestLeaveManySubscribers(t *testing.T) {
 	addr := srv.Addr().String()
 	ctx := syncCtx(t)
 	schema := tuple.MustSchema("v")
-	pub, err := DialPublisherTimeout(addr, "src", schema, 0)
+	pub, err := DialPublisher(context.Background(), addr, "src", schema, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	subs := make([]*Subscriber, 12)
 	for i := range subs {
-		if subs[i], err = DialSubscriberOpts(addr, fmt.Sprintf("app%d", i), "src", "DC1(v, 0.5, 0)", SubDialOpts{}); err != nil {
+		if subs[i], err = DialSubscriber(context.Background(), addr, fmt.Sprintf("app%d", i), "src", "DC1(v, 0.5, 0)", SubDialOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 48; i++ {
-		if err := pub.Publish(tuple.MustNew(schema, i, time.Unix(0, int64(i+1)*int64(time.Millisecond)), []float64{float64(i)})); err != nil {
+		if err := publishOne(pub, tuple.MustNew(schema, i, time.Unix(0, int64(i+1)*int64(time.Millisecond)), []float64{float64(i)})); err != nil {
 			t.Fatal(err)
 		}
 		if i%4 == 3 {

@@ -208,10 +208,11 @@ func (c *Core[T]) Join(ctx context.Context, m *Member[T], spec quality.Spec) err
 		if src := c.sources[m.Source]; src != nil {
 			src.subEpoch++
 		}
-		c.mu.Unlock()
 		if m.Resume {
+			// Under the lock: Inspect reads it.
 			m.SpliceTo = c.log.NextOffset(m.Source)
 		}
+		c.mu.Unlock()
 		return nil
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gasf/internal/server"
 )
@@ -70,12 +69,11 @@ func (r *Remote) OpenSource(ctx context.Context, name string, schema *Schema) (S
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pub, err := server.DialPublisherTimeout(r.addr, name, schema, dialTimeoutFor(ctx, r.cfg.dialTimeout))
+	pub, err := server.DialPublisher(ctx, r.addr, name, schema, r.cfg.dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	src := &remoteSource{r: r, name: name, schema: schema}
-	src.pub.Store(pub)
+	src := &remoteSource{r: r, name: name, schema: schema, pub: pub}
 	if !r.track(src, pub.Close) {
 		pub.Close()
 		return nil, errBrokerClosed
@@ -99,11 +97,11 @@ func (r *Remote) Subscribe(ctx context.Context, app, source, spec string, opts .
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ss, err := server.DialSubscriberOpts(r.addr, app, source, sp.String(), server.SubDialOpts{
+	ss, err := server.DialSubscriber(ctx, r.addr, app, source, sp.String(), server.SubDialOpts{
 		Queue:      sc.queue,
 		Resume:     sc.resume,
 		ResumeFrom: sc.resumeFrom,
-		Timeout:    dialTimeoutFor(ctx, r.cfg.dialTimeout),
+		Timeout:    r.cfg.dialTimeout,
 		RecvBuffer: sc.recvBuffer,
 	})
 	if err != nil {
@@ -182,18 +180,6 @@ func connLost(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// backoffWait sleeps for the attempt'th backoff delay, bounded by ctx.
-func backoffWait(ctx context.Context, b *Backoff, attempt int) error {
-	t := time.NewTimer(b.delay(attempt))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // sourceWindowCap bounds the reconnect republish window, in tuples: the
 // tuples published since the last Sync barrier that a redial would
 // republish. Past the cap the oldest are forgotten (and the window
@@ -202,21 +188,18 @@ func backoffWait(ctx context.Context, b *Backoff, attempt int) error {
 const sourceWindowCap = 65536
 
 // remoteSource adapts a publisher session to the unified interface.
-// Without WithReconnect it is a thin veneer over one session; with it,
-// publishes are serialized under mu, an unacked window of tuples since
-// the last Sync barrier is retained, and a lost connection is redialed
-// with the window republished — trimmed by the server's durable resume
-// hint so a restart does not duplicate what already reached the log.
+// Publishes are serialized under mu. With WithReconnect an unacked window
+// of tuples since the last Sync barrier is retained, and a lost connection
+// is redialed with the window republished — trimmed by the server's
+// durable resume hint so a restart does not duplicate what already
+// reached the log.
 type remoteSource struct {
 	r      *Remote
 	name   string
 	schema *Schema
-	pub    atomic.Pointer[server.Publisher]
 
-	// Reconnect state, all under mu (only touched when r.cfg.reconnect
-	// is set; without it the methods call the session directly, unlocked,
-	// preserving the historical concurrency profile).
 	mu        sync.Mutex
+	pub       *server.Publisher
 	window    []*Tuple
 	truncated bool
 	finished  bool
@@ -228,43 +211,30 @@ func (s *remoteSource) Name() string    { return s.name }
 func (s *remoteSource) Schema() *Schema { return s.schema }
 
 func (s *remoteSource) Publish(ctx context.Context, t *Tuple) error {
-	if s.r.cfg.reconnect == nil {
-		return s.pub.Load().PublishContext(ctx, t)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.publishLocked(ctx, []*Tuple{t})
+	return s.PublishBatch(ctx, []*Tuple{t})
 }
 
 func (s *remoteSource) PublishBatch(ctx context.Context, tuples []*Tuple) error {
-	if s.r.cfg.reconnect == nil {
-		return s.pub.Load().PublishBatchContext(ctx, tuples)
-	}
 	if len(tuples) == 0 {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.publishLocked(ctx, tuples)
-}
-
-func (s *remoteSource) publishLocked(ctx context.Context, tuples []*Tuple) error {
 	if s.finished {
 		return fmt.Errorf("gasf: source %q finished", s.name)
 	}
-	err := s.pub.Load().PublishBatchContext(ctx, tuples)
-	if err == nil {
-		s.remember(tuples)
-		return nil
-	}
-	if !connLost(err) {
+	err := s.pub.PublishBatch(ctx, tuples)
+	if s.r.cfg.reconnect == nil || (err != nil && !connLost(err)) {
 		return err
 	}
 	// The write may have landed partially; remember the batch and let the
 	// redial republish the whole window — the server's resume hint trims
 	// whatever the old connection actually got into the durable log.
 	s.remember(tuples)
-	return s.redialReplayLocked(ctx)
+	if err == nil {
+		return nil
+	}
+	return s.reopenLocked(ctx)
 }
 
 // remember appends tuples to the unacked window, sliding out the oldest
@@ -279,48 +249,34 @@ func (s *remoteSource) remember(tuples []*Tuple) {
 	}
 }
 
-// redialReplayLocked redials the publisher session on the backoff
-// schedule (bounded by ctx) and republishes the unacked window, trimmed
-// by the fresh session's resume hint when the window can be trimmed
-// safely. Replayed tuples stay in the window until the next Sync
+// reopenLocked redials the publisher session through server.Redial on the
+// backoff schedule (bounded by ctx) and republishes the unacked window,
+// trimmed by the fresh session's resume hint when the window can be
+// trimmed safely. Replayed tuples stay in the window until the next Sync
 // barrier acknowledges them.
-func (s *remoteSource) redialReplayLocked(ctx context.Context) error {
-	bo := s.r.cfg.reconnect
-	s.pub.Load().Close()
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		pub, err := server.DialPublisherTimeout(s.r.addr, s.name, s.schema, dialTimeoutFor(ctx, s.r.cfg.dialTimeout))
+func (s *remoteSource) reopenLocked(ctx context.Context) error {
+	s.pub.Close()
+	return server.Redial(ctx, fmt.Sprintf("reopening source %q", s.name), s.r.cfg.reconnect.delay, func() (bool, error) {
+		pub, err := server.DialPublisher(ctx, s.r.addr, s.name, s.schema, s.r.cfg.dialTimeout)
 		if err != nil {
-			if wErr := backoffWait(ctx, bo, attempt); wErr != nil {
-				return fmt.Errorf("gasf: reconnecting source %q: %w (last dial error: %v)", s.name, wErr, err)
-			}
-			continue
+			return true, err
 		}
-		s.pub.Store(pub)
+		s.pub = pub
 		if !s.r.track(s, pub.Close) {
 			pub.Close()
-			return errBrokerClosed
+			return false, errBrokerClosed
 		}
 		replay := s.window
 		if maxSeq, ok := pub.ResumeHint(); ok && !s.truncated {
 			replay = trimWindow(replay, maxSeq)
 		}
-		if len(replay) == 0 {
-			return nil
+		err = pub.PublishBatch(ctx, replay)
+		if connLost(err) {
+			pub.Close()
+			return true, err
 		}
-		err = pub.PublishBatchContext(ctx, replay)
-		if err == nil {
-			return nil
-		}
-		if !connLost(err) {
-			return err
-		}
-		if wErr := backoffWait(ctx, bo, attempt); wErr != nil {
-			return wErr
-		}
-	}
+		return false, err
+	})
 }
 
 // trimWindow drops the window prefix the server already holds (sequence
@@ -344,16 +300,13 @@ func trimWindow(w []*Tuple, maxSeq int64) []*Tuple {
 }
 
 func (s *remoteSource) Sync(ctx context.Context) error {
-	if s.r.cfg.reconnect == nil {
-		return s.pub.Load().Sync(ctx)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.finished {
 		return fmt.Errorf("gasf: source %q finished", s.name)
 	}
 	for {
-		err := s.pub.Load().Sync(ctx)
+		err := s.pub.Sync(ctx)
 		if err == nil {
 			// The barrier acknowledges everything published so far: the
 			// server has it ordered in the shard ring (and appended, when
@@ -363,10 +316,10 @@ func (s *remoteSource) Sync(ctx context.Context) error {
 			s.truncated = false
 			return nil
 		}
-		if !connLost(err) {
+		if s.r.cfg.reconnect == nil || !connLost(err) {
 			return err
 		}
-		if rerr := s.redialReplayLocked(ctx); rerr != nil {
+		if rerr := s.reopenLocked(ctx); rerr != nil {
 			return rerr
 		}
 	}
@@ -381,12 +334,10 @@ func (s *remoteSource) Finish(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if s.r.cfg.reconnect != nil {
-		s.mu.Lock()
-		s.finished = true
-		s.mu.Unlock()
-	}
-	err := s.pub.Load().Close()
+	s.mu.Lock()
+	s.finished = true
+	err := s.pub.Close()
+	s.mu.Unlock()
 	s.r.untrack(s)
 	return err
 }
@@ -425,10 +376,6 @@ type remoteSub struct {
 	// resume point after a reconnect.
 	lastOffset uint64
 	seen       bool
-	// scratch backs RecvInto so the session's zero-allocation decode
-	// path carries over: the caller's tuple is lent to the wire decoder
-	// and handed back with the reused label storage.
-	scratch server.Delivery
 }
 
 var _ Subscription = (*remoteSub)(nil)
@@ -443,21 +390,13 @@ func (s *remoteSub) Spec() Spec      { return s.sp }
 // 1 on a reconnect, matching the fresh session's full fidelity).
 func (s *remoteSub) QoS() float64 { return s.sub.Load().QoS() }
 
+// Recv is RecvInto into a fresh Delivery, which the caller may keep.
 func (s *remoteSub) Recv(ctx context.Context) (*Delivery, error) {
-	if s.ended {
-		return nil, s.endedErr
+	d := new(Delivery)
+	if err := s.RecvInto(ctx, d); err != nil {
+		return nil, err
 	}
-	for {
-		d, err := s.sub.Load().RecvContext(ctx)
-		if err == nil {
-			s.noteOffset(d.Offset)
-			return &Delivery{Tuple: d.Tuple, Destinations: d.Destinations, ReceivedAt: d.ReceivedAt, Offset: d.Offset}, nil
-		}
-		retry, ferr := s.recvErr(ctx, err)
-		if !retry {
-			return nil, ferr
-		}
-	}
+	return d, nil
 }
 
 func (s *remoteSub) RecvInto(ctx context.Context, d *Delivery) error {
@@ -465,14 +404,8 @@ func (s *remoteSub) RecvInto(ctx context.Context, d *Delivery) error {
 		return s.endedErr
 	}
 	for {
-		s.scratch.Tuple = d.Tuple
-		s.scratch.Destinations = s.scratch.Destinations[:0]
-		err := s.sub.Load().RecvIntoContext(ctx, &s.scratch)
+		err := s.sub.Load().RecvInto(ctx, d)
 		if err == nil {
-			d.Tuple = s.scratch.Tuple
-			d.Destinations = s.scratch.Destinations
-			d.ReceivedAt = s.scratch.ReceivedAt
-			d.Offset = s.scratch.Offset
 			s.noteOffset(d.Offset)
 			return nil
 		}
