@@ -55,7 +55,7 @@ type latencyStats struct {
 
 // serverLatency carries the server's own view of delivery latency
 // (tuple source timestamp to egress write), read from /debug/gasf:
-// frugal-estimated quantiles, reported next to the client-observed
+// histogram-interpolated quantiles, reported next to the client-observed
 // percentiles so the two measurement points can be compared.
 type serverLatency struct {
 	P50Ms float64 `json:"p50_ms"`
@@ -750,8 +750,8 @@ func warnIfWorse(name string, cur, base float64, lowerIsWorse bool) {
 // scrapeServer exercises the observability surface the way a monitoring
 // stack would — over HTTP against MetricsHandler — and returns the
 // server-side delivery quantiles: /metrics must pass the strict
-// exposition parser, and /debug/gasf supplies the frugal-estimated
-// latency pair.
+// exposition parser, and /debug/gasf supplies the aggregate delivery
+// latency.
 func scrapeServer(srv *gasf.Server) (*serverLatency, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

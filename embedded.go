@@ -91,7 +91,7 @@ func (e *Embedded) Results() map[string]*Result { return e.b.Results() }
 // Metrics returns the per-shard runtime counters.
 func (e *Embedded) Metrics() []ShardSnapshot { return e.b.Metrics() }
 
-// Telemetry returns the pipeline telemetry snapshot: frugal-estimated
+// Telemetry returns the pipeline telemetry snapshot: the aggregate
 // delivery-latency quantiles and the sampled stage-duration histograms.
 // Zero when telemetry was disabled with WithTelemetry(-1). The embedded
 // broker observes delivery latency at the subscriber queue hand-off

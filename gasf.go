@@ -219,13 +219,17 @@ func Run(filters []Filter, sr *Series, opts Options) (*Result, error) {
 type ShardSnapshot = shard.Snapshot
 
 // TelemetrySnapshot is a point-in-time read of the pipeline telemetry:
-// the aggregate delivery-latency quantiles (frugal-estimated p50/p99
-// with exact count and sum) and one log-scale duration histogram per
-// instrumented pipeline stage. See Embedded.Telemetry.
+// the aggregate delivery-latency quantiles (p50/p99 interpolated in a
+// log2 histogram, with exact count and sum) and one log-scale duration
+// histogram per instrumented pipeline stage. See Embedded.Telemetry.
 type TelemetrySnapshot = telemetry.Snapshot
 
-// LatencySnapshot reports one latency estimator pair: frugal-estimated
-// p50/p99 plus the exact sample count and sum.
+// LatencySnapshot reports one latency view: p50/p99 plus the exact
+// sample count and sum. A subscriber session's quantiles are Frugal-2U
+// estimates; a source group's, the aggregate's and the relay hop's are
+// interpolated inside a log2 histogram bucket, clamped to the observed
+// minimum and maximum, so above a microsecond they lie within a factor
+// of two of the exact quantile.
 type LatencySnapshot = telemetry.LatencySnapshot
 
 // RunSharded drives many single-source filter groups concurrently on the

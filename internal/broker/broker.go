@@ -9,7 +9,8 @@
 //     the contract the networked server enforces at ingest) and submits
 //     them to the shard runtime synchronously;
 //   - a queued item is a Delivery sharing the tuple and the pruned label
-//     slice immutably; Recv hands it over and stamps the receive instant;
+//     slice immutably, stamped with the sink call's instant; Recv hands it
+//     over;
 //   - a resuming subscription reads its history from the log on a replay
 //     channel that Recv drains before the live queue.
 //
@@ -327,7 +328,7 @@ func (s *Sub) runReplay() {
 			return fmt.Errorf("broker: replaying %q at offset %d: %w", m.Source, off, err)
 		}
 		select {
-		case s.replay <- session.Delivery{Tuple: t, Destinations: dests, Offset: off}:
+		case s.replay <- session.Delivery{Tuple: t, Destinations: dests, ReceivedAt: m.SpliceAt, Offset: off}:
 			return nil
 		case <-m.Done():
 			return session.ErrReplayAborted
@@ -379,10 +380,6 @@ func (s *Sub) Recv(ctx context.Context) (session.Delivery, error) {
 // no aliasing hazard; the variant exists so both transports satisfy one
 // interface with the allocation profile each can offer.
 func (s *Sub) RecvInto(ctx context.Context, d *session.Delivery) error {
-	deliver := func(dv session.Delivery) {
-		d.Tuple, d.Destinations, d.Offset = dv.Tuple, dv.Destinations, dv.Offset
-		d.ReceivedAt = time.Now()
-	}
 	// History first: a resuming subscription drains the replay channel
 	// before any live delivery. Live deliveries buffer in the queue
 	// meanwhile (they all carry offsets at or above the fence), so the two
@@ -403,7 +400,7 @@ func (s *Sub) RecvInto(ctx context.Context, d *session.Delivery) error {
 				}
 				continue // fall through to the live stream
 			}
-			deliver(dv)
+			*d = dv
 			return nil
 		case <-s.m.Done():
 			return s.endErr()
@@ -419,7 +416,7 @@ func (s *Sub) RecvInto(ctx context.Context, d *session.Delivery) error {
 	}
 	select {
 	case dv := <-s.m.Queue():
-		deliver(dv)
+		*d = dv
 		return nil
 	default:
 	}
@@ -443,7 +440,7 @@ func (s *Sub) RecvInto(ctx context.Context, d *session.Delivery) error {
 	if s.m.Departed() {
 		return s.endErr()
 	}
-	deliver(dv)
+	*d = dv
 	return nil
 }
 
@@ -470,14 +467,24 @@ func (s *Sub) Close(ctx context.Context) error { return s.b.core.Leave(ctx, s.m)
 func (b *Broker) sink(batch []shard.Out) {
 	c := b.core
 	tel := c.Telemetry()
-	// One clock read per call: every transmission of the batch is
-	// stamped with the instant its hand-off began.
-	var now, fanStart time.Time
-	if tel != nil {
-		now = time.Now()
-		if tel.Sample(telemetry.StageFanout) {
-			fanStart = now
-		}
+	// One clock read per call: every delivery of the batch is stamped
+	// with the instant its hand-off began, as its ReceivedAt and as the
+	// delivery point latency telemetry measures to.
+	now := time.Now()
+	var fanStart time.Time
+	if tel.Sample(telemetry.StageFanout) {
+		fanStart = now
+	}
+	// The shared latency views take one batch per run of one source's
+	// transmissions; each member's own estimator is this worker's.
+	var (
+		lat   telemetry.LatencyBatch
+		group *session.Source[session.Delivery]
+	)
+	fold := func() {
+		group.Lat.Fold(&lat)
+		tel.Delivery().Fold(&lat)
+		lat.Reset()
 	}
 	for i := range batch {
 		o := &batch[i]
@@ -494,21 +501,23 @@ func (b *Broker) sink(batch []shard.Out) {
 			}
 		}
 		if tel != nil {
-			// The embedded delivery point is the queue hand-off; the
-			// group, aggregate and per-target session estimators all see
-			// the call's instant (the enqueue loop below is non-blocking
-			// in the common case).
+			if src != group && lat.Count() != 0 {
+				fold()
+			}
+			group = src
 			d := now.Sub(o.Tr.Tuple.TS)
-			src.Lat.Observe(d)
+			lat.ObserveN(d, len(src.Targets))
 			for _, m := range src.Targets {
-				tel.ObserveDelivery(d)
 				m.Lat.Observe(d)
 			}
 		}
-		dv := session.Delivery{Tuple: o.Tr.Tuple, Destinations: src.Labels, Offset: off}
+		dv := session.Delivery{Tuple: o.Tr.Tuple, Destinations: src.Labels, ReceivedAt: now, Offset: off}
 		for _, m := range src.Targets {
 			m.Send(dv, 1)
 		}
+	}
+	if lat.Count() != 0 {
+		fold()
 	}
 	if !fanStart.IsZero() {
 		tel.Observe(telemetry.StageFanout, time.Since(fanStart))

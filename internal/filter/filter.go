@@ -132,9 +132,14 @@ func (cs *CandidateSet) Recycle() {
 	if p == nil {
 		return
 	}
+	// Field by field: a whole-struct assignment compiles to a block copy
+	// of the set, which a pass-all step pays three times per tuple.
 	clear(cs.Members)
 	clear(cs.Picks)
-	*cs = CandidateSet{Members: cs.Members[:0], Picks: cs.Picks[:0], home: p}
+	cs.Owner, cs.Ordinal = "", 0
+	cs.Members, cs.Reference = cs.Members[:0], nil
+	cs.PickDegree, cs.Restrict, cs.RestrictAttr, cs.ClosedByCut = 0, Random, 0, false
+	cs.Slot, cs.Accounted, cs.Decided, cs.Picks = 0, false, false, cs.Picks[:0]
 	p.free = append(p.free, cs)
 }
 

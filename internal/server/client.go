@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -372,6 +373,7 @@ func (p *Publisher) Close() error {
 // group with a quality spec and receives the filtered stream.
 type Subscriber struct {
 	conn   net.Conn
+	rd     stampReader // under br
 	br     *bufio.Reader
 	buf    []byte
 	schema *tuple.Schema
@@ -382,9 +384,14 @@ type Subscriber struct {
 	// the session's interned label strings (destination sets repeat, so
 	// steady-state receives allocate nothing; the interner's bounded
 	// table keeps a long-lived session's memory flat even when the
-	// destination labels churn without repeating).
+	// destination labels churn without repeating). prefix is the last
+	// transmission's encoded destination list and dests its interned
+	// labels: a transmission that starts with the same bytes names the
+	// same destinations, which skips the label decode and the interner.
 	labelViews [][]byte
 	labels     wire.Interner
+	prefix     []byte
+	dests      []string
 
 	// qos holds the float64 bits of the last FrameQoS announcement
 	// (0 until any arrives, read as scale 1).
@@ -453,13 +460,26 @@ func DialSubscriber(ctx context.Context, addr, app, source, spec string, o SubDi
 			_ = tc.SetReadBuffer(o.RecvBuffer)
 		}
 	}
-	return &Subscriber{
-		conn:   conn,
-		br:     bufio.NewReaderSize(conn, streamReadBuf),
-		schema: schema,
-		app:    app,
-		source: source,
-	}, nil
+	c := &Subscriber{conn: conn, rd: stampReader{conn: conn}, schema: schema, app: app, source: source}
+	c.br = bufio.NewReaderSize(&c.rd, streamReadBuf)
+	return c, nil
+}
+
+// stampReader is the connection under a subscriber's read buffer. It
+// notes the instant of every socket read that returned bytes: the
+// ReceivedAt of each delivery whose frame that read completed, so a
+// burst taken by one read costs one clock read.
+type stampReader struct {
+	conn net.Conn
+	at   time.Time
+}
+
+func (r *stampReader) Read(p []byte) (int, error) {
+	n, err := r.conn.Read(p)
+	if n > 0 {
+		r.at = time.Now()
+	}
+	return n, err
 }
 
 // Schema returns the source schema advertised in the handshake.
@@ -513,19 +533,30 @@ func (c *Subscriber) decodeNext(d *session.Delivery) error {
 	if d.Tuple == nil {
 		d.Tuple = new(tuple.Tuple)
 	}
-	views, n, err := wire.DecodeTransmissionInto(d.Tuple, c.schema, c.labelViews[:0], body)
-	c.labelViews = views
-	if err == nil && n != len(body) {
-		err = fmt.Errorf("server: transmission frame carries %d trailing bytes", len(body)-n)
+	p := len(c.prefix)
+	if p == 0 || !bytes.HasPrefix(body, c.prefix) {
+		views, n, err := wire.DecodeDestinationsInto(c.labelViews[:0], body)
+		c.labelViews = views
+		if err != nil {
+			c.prefix = c.prefix[:0]
+			return err
+		}
+		c.prefix = append(c.prefix[:0], body[:n]...)
+		c.dests = c.dests[:0]
+		for _, v := range views {
+			c.dests = append(c.dests, c.labels.Intern(v))
+		}
+		p = n
+	}
+	n, err := wire.DecodeTupleInto(d.Tuple, c.schema, body[p:])
+	if err == nil && p+n != len(body) {
+		err = fmt.Errorf("server: transmission frame carries %d trailing bytes", len(body)-p-n)
 	}
 	if err != nil {
 		return err
 	}
-	d.Destinations = d.Destinations[:0]
-	for _, v := range views {
-		d.Destinations = append(d.Destinations, c.labels.Intern(v))
-	}
-	d.ReceivedAt = time.Now()
+	d.Destinations = append(d.Destinations[:0], c.dests...)
+	d.ReceivedAt = c.rd.at
 	d.Offset = offset
 	return nil
 }

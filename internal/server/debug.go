@@ -77,8 +77,8 @@ type DebugFlowGap struct {
 }
 
 // DebugInfo is the full /debug/gasf introspection dump: live sessions,
-// queue depths, resume offsets, shard runtime state, and the frugal
-// latency quantiles, as one JSON document.
+// queue depths, resume offsets, shard runtime state, and the latency
+// quantiles, as one JSON document.
 type DebugInfo struct {
 	Now         time.Time           `json:"now"`
 	Addr        string              `json:"addr"`

@@ -3,8 +3,6 @@ package server
 import (
 	"sync"
 	"sync/atomic"
-
-	"gasf/internal/telemetry"
 )
 
 // frame is one encoded output frame, shared immutably across every
@@ -23,10 +21,6 @@ type frame struct {
 	// subtracts it from the write instant to observe delivery latency.
 	// Zero means "do not observe" (telemetry disabled).
 	ts int64
-	// src points at the originating source's latency estimator pair, so
-	// per-group quantiles can be fed from the egress side without a
-	// registry lookup. Nil when telemetry is disabled.
-	src *telemetry.LatencyPair
 }
 
 // Retention bounds of the process-wide free lists (DESIGN.md §8): what
@@ -193,7 +187,7 @@ func releaseFrames(frs []*frame) {
 	dead := 0
 	for _, fr := range frs {
 		if fr.refs.Add(-1) == 0 {
-			fr.buf, fr.ts, fr.src = fr.buf[:0], 0, nil
+			fr.buf, fr.ts = fr.buf[:0], 0
 			frs[dead] = fr
 			dead++
 		}

@@ -216,7 +216,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		x.Counter("gasf_federation_relay_legs_served_total", "Relay-leg sessions accepted from edges (core side).")
 		x.SampleU(c.FedRelayLegsIn, role)
 		if s.fed != nil && s.tel != nil {
-			x.SummaryFamily("gasf_federation_relay_latency_seconds", "Relay delivery latency (tuple source timestamp to edge egress write), sampled, frugal-estimated quantiles.")
+			x.SummaryFamily("gasf_federation_relay_latency_seconds", "Relay delivery latency (tuple source timestamp to edge egress write), sampled, quantiles interpolated in log2 buckets.")
 			x.WriteLatencySummary(fs.Relay, role)
 		}
 	}
@@ -302,9 +302,9 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		for _, st := range telemetry.Stages() {
 			x.WriteHistogram(s.tel.StageHist(st).Snapshot(), telemetry.Label{Name: "stage", Value: st.Name()})
 		}
-		x.SummaryFamily("gasf_delivery_latency_seconds", "End-to-end delivery latency (tuple source timestamp to egress write), frugal-estimated quantiles.")
+		x.SummaryFamily("gasf_delivery_latency_seconds", "End-to-end delivery latency (tuple source timestamp to egress write), quantiles interpolated in log2 buckets.")
 		x.WriteLatencySummary(s.tel.Delivery().Snapshot(), policy)
-		x.SummaryFamily("gasf_group_delivery_latency_seconds", "Per-source-group delivery latency, frugal-estimated quantiles.")
+		x.SummaryFamily("gasf_group_delivery_latency_seconds", "Per-source-group delivery latency, quantiles interpolated in log2 buckets.")
 		for _, g := range s.groupLatencies() {
 			x.WriteLatencySummary(g.snap, telemetry.Label{Name: "source", Value: g.name})
 		}
@@ -317,7 +317,7 @@ type groupLatency struct {
 	snap telemetry.LatencySnapshot
 }
 
-// groupLatencies snapshots the per-source latency pairs in name order
+// groupLatencies snapshots the per-source latency views in name order
 // (deterministic exposition).
 func (s *Server) groupLatencies() []groupLatency {
 	var out []groupLatency

@@ -53,9 +53,10 @@ type legKey struct {
 type relayMgr struct {
 	s    *Server
 	self string
-	// lat estimates relay delivery latency (tuple source timestamp to
-	// edge egress write) over sampled frames. Nil when telemetry is off.
-	lat *telemetry.LatencyPair
+	// lat is the relay delivery-latency view (tuple source timestamp to
+	// edge egress write) over sampled frames: every relay member's Group.
+	// Nil when telemetry is off.
+	lat *telemetry.LatencyHist
 
 	mu     sync.Mutex
 	legs   map[legKey]*relayLeg
@@ -69,7 +70,7 @@ func newRelayMgr(s *Server) *relayMgr {
 		legs: make(map[legKey]*relayLeg),
 	}
 	if s.tel != nil {
-		m.lat = telemetry.NewLatencyPair()
+		m.lat = new(telemetry.LatencyHist)
 	}
 	return m
 }
@@ -490,7 +491,6 @@ func (leg *relayLeg) relay(sub *Subscriber) error {
 		m.s.ctr.fedRelayFrames.Add(1)
 		fr := stash.get(runMax-len(run), frameHeaderLen+len(buf))
 		fr.buf = endFrame(append(beginFrame(fr.buf, kind), buf...))
-		fr.src = m.lat
 		if m.lat != nil && nframes%relaySampleEvery == 0 {
 			if l, _, err := wire.DecodeTransmissionInto(&scratch, sub.Schema(), labels[:0], buf[8:]); err == nil {
 				labels = l
@@ -630,6 +630,8 @@ func (s *Server) serveEdgeSubscriber(sub *subscriber, h SubHello, spec quality.S
 	// The canonical spec rendering is the dedup key: equivalent specs
 	// parse and re-render identically, so equal groups share one leg.
 	key := legKey{source: h.Source, app: h.App, spec: spec.String()}
+	// Relayed deliveries count in the relay view, not a local group's.
+	sub.m.Group = s.fed.lat
 	for {
 		// A leg created here asks the core for this member's queue depth
 		// (the hello's, after the edge's defaulting and clamping).

@@ -936,7 +936,6 @@ func (s *Server) sink(batch []shard.Out) {
 		// The tuple's source timestamp rides on the frame so egress can
 		// turn the write instant into an end-to-end delivery latency.
 		fr.ts = o.Tr.Tuple.TS.UnixNano()
-		fr.src = src.Lat
 		fr.retain(len(src.Targets))
 		for j, m := range src.Targets {
 			if m.Stage == nil {

@@ -124,6 +124,8 @@ type egress struct {
 	// wr is the copy of bufs one write consumes; a field because WriteTo
 	// takes its address, which would move a local to the heap every flush.
 	wr net.Buffers
+	// lat collects one write's delivery latencies for the shared views.
+	lat telemetry.LatencyBatch
 }
 
 // stage appends a queued batch's frames to the pending vectored write;
@@ -167,8 +169,9 @@ func (e *egress) flush(sub *subscriber) error {
 	if tel != nil && err == nil {
 		// One clock read covers the whole vectored write; per-frame
 		// latency is the write instant minus the tuple's source
-		// timestamp, fed to the session, group, and aggregate
-		// estimators (all alloc-free frugal updates).
+		// timestamp. The session's own estimator is this goroutine's;
+		// the group (or relay) and aggregate views are shared, so they
+		// take the write's deliveries as one batch each.
 		now := time.Now().UnixNano()
 		for _, fr := range e.frames {
 			if fr.ts == 0 {
@@ -176,8 +179,12 @@ func (e *egress) flush(sub *subscriber) error {
 			}
 			d := time.Duration(now - fr.ts)
 			sub.m.Lat.Observe(d)
-			fr.src.Observe(d)
-			tel.ObserveDelivery(d)
+			e.lat.Observe(d)
+		}
+		if e.lat.Count() != 0 {
+			sub.m.Group.Fold(&e.lat)
+			tel.Delivery().Fold(&e.lat)
+			e.lat.Reset()
 		}
 	}
 	releaseFrames(e.frames)

@@ -19,9 +19,14 @@ type Delivery struct {
 	// receive rewrites the caller's slice with the session's interned
 	// label strings.
 	Destinations []string
-	// ReceivedAt is stamped when the consumer takes the delivery, one
-	// clock read per receive; it is not the enqueue instant the delivery
-	// latency telemetry observes.
+	// ReceivedAt is the instant the delivery reached the consumer's side
+	// of the transport, stamped once per batch rather than per delivery:
+	// on the networked transport the socket read that completed its frame
+	// (a burst taken by one read shares one stamp), on the embedded one
+	// the sink call that queued it. A replayed delivery carries the
+	// instant its resume was fenced. Stamps lie between the tuple's
+	// publish call and the return of the receive that hands it over, and
+	// never go backwards within a subscription.
 	ReceivedAt time.Time
 	// Offset is the delivery's position in the source's durable log (0
 	// without one, and 0 for the log's first record); the networked

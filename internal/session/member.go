@@ -54,9 +54,15 @@ type Member[T any] struct {
 	// The core never reads it.
 	Stage T
 	// Lat estimates this member's delivery-latency quantiles; the adapter
-	// feeds it at its delivery point, the governor reads its p99. Nil
-	// when telemetry is disabled.
+	// feeds it at its delivery point, from the one goroutine that delivers
+	// the member's stream (the pair's single writer), and the governor
+	// reads its p99. Nil when telemetry is disabled.
 	Lat *telemetry.LatencyPair
+	// Group is the shared view the member's deliveries also count in:
+	// its source's Lat, set by Join, or whatever an unjoined member's
+	// adapter sets before the first delivery. The adapter folds batches
+	// into it, never single deliveries. Nil when telemetry is disabled.
+	Group *telemetry.LatencyHist
 	// Resume asks for the source's log records in [ResumeFrom, SpliceTo)
 	// addressed to App before the live stream; set both before Join.
 	// SpliceTo is the fence Join captures inside the AddFilter control
@@ -67,6 +73,11 @@ type Member[T any] struct {
 	// duplicate-free.
 	Resume               bool
 	ResumeFrom, SpliceTo uint64
+	// SpliceAt is the instant Join captured SpliceTo: after every record
+	// below the fence was published, before any live item was routed to
+	// the member. A transport that stamps replayed items with it keeps
+	// their receive instants ordered before the live ones.
+	SpliceAt time.Time
 
 	c     *Core[T]
 	q     chan T
@@ -210,7 +221,7 @@ func (c *Core[T]) Join(ctx context.Context, m *Member[T], spec quality.Spec) err
 		}
 		if m.Resume {
 			// Under the lock: Inspect reads it.
-			m.SpliceTo = c.log.NextOffset(m.Source)
+			m.SpliceTo, m.SpliceAt = c.log.NextOffset(m.Source), time.Now()
 		}
 		c.mu.Unlock()
 		return nil
@@ -278,7 +289,7 @@ func (c *Core[T]) admit(m *Member[T], spec quality.Spec) error {
 	}
 	m.OpenQueue()
 	group[m.App] = m
-	m.joined, m.Schema = true, src.Schema
+	m.joined, m.Schema, m.Group = true, src.Schema, src.Lat
 	return nil
 }
 

@@ -26,11 +26,12 @@ type Source[T any] struct {
 	// flag across anything that parks the source inside the runtime, so
 	// backpressure is never mistaken for silence.
 	Gap flowgap.Entry
-	// Lat estimates the source group's delivery-latency quantiles; the
-	// adapter feeds it at its delivery point. A fresh pair per OpenSource
-	// (queued items may retain the pointer past the session's end); nil
-	// when telemetry is disabled.
-	Lat *telemetry.LatencyPair
+	// Lat is the source group's delivery-latency view, counting every
+	// delivery to every member; the adapter folds batches of them into it
+	// at its delivery point (Member.Group points here). A fresh view per
+	// OpenSource (a member may retain the pointer past the session's
+	// end); nil when telemetry is disabled.
+	Lat *telemetry.LatencyHist
 
 	// The fan-out view of the last Route call, owned by the source's
 	// shard worker (sink calls for one source are serialized): the live
@@ -80,7 +81,7 @@ func (c *Core[T]) OpenSource(src *Source[T]) error {
 	src.Gap.Reset()
 	src.Lat = nil
 	if c.tel != nil {
-		src.Lat = telemetry.NewLatencyPair()
+		src.Lat = new(telemetry.LatencyHist)
 	}
 	clear(src.Targets) // stale members must not be pinned by a pooled session
 	src.Epoch, src.Targets, src.Labels = 0, src.Targets[:0], src.Labels[:0]

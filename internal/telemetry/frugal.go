@@ -1,10 +1,11 @@
 // Package telemetry provides the broker's low-cost observability layer:
 // frugal-streaming quantile estimators (one machine word of state per
-// quantile), fixed-bucket log-scale duration histograms, and per-stage
-// sampling gates that bound the steady-state cost of timing the hot
-// path. Everything here is alloc-free on the observe path and safe for
-// concurrent use; estimators tolerate lossy interleavings (a dropped
-// update perturbs convergence, never correctness of the state machine).
+// quantile) for per-session latency, log2-bucket histograms for the
+// shared latency views and the stage timings, and per-stage sampling
+// gates that bound the steady-state cost of timing the hot path.
+// Everything here is alloc-free on the observe path. The frugal
+// estimators have one writer each; the histograms take concurrent
+// writers, which fold whole batches rather than single samples.
 package telemetry
 
 import (
@@ -28,9 +29,12 @@ func Since(stamp int64) time.Duration { return time.Since(base) - time.Duration(
 // Streaming for Estimating Quantiles", Ma/Muthukrishnan/Sandler 2014).
 // It keeps one word for the running estimate plus one word of adaptive
 // step state, updates in O(1) with no allocation, and converges to the
-// target quantile of the stream distribution. All state lives in atomic
-// words so concurrent writers are safe; interleaved updates may lose a
-// step adjustment, which only slows convergence.
+// target quantile of the stream distribution.
+//
+// A Quantile has one writer: Observe must not run on two goroutines at
+// once. Only the estimate is an atomic word, so Estimate may be called
+// from any goroutine while the writer observes; the step state is the
+// writer's plain memory.
 //
 // The estimate is seeded with the first observed sample and every
 // subsequent move is clamped to the triggering sample, so the estimate
@@ -39,11 +43,11 @@ func Since(stamp int64) time.Duration { return time.Since(base) - time.Duration(
 type Quantile struct {
 	q      float64
 	thresh uint64 // q scaled to [0, 2^64): move-up probability
-	seeded atomic.Bool
+	seeded bool
+	step   int64
+	sign   int64
+	rng    uint64
 	est    atomic.Int64
-	step   atomic.Int64
-	sign   atomic.Int64
-	rng    atomic.Uint64
 }
 
 // NewQuantile returns an estimator targeting quantile q in (0, 1).
@@ -62,19 +66,15 @@ func (e *Quantile) init(q float64) {
 	}
 	e.q = q
 	e.thresh = uint64(q * float64(1<<63) * 2)
-	e.rng.Store(0x9e3779b97f4a7c15)
+	e.rng = 0x9e3779b97f4a7c15
 }
 
-// rand draws a xorshift64* variate. The state word is atomic but the
-// read-modify-write is intentionally lossy under contention: estimator
-// quality does not depend on sequence integrity.
+// rand draws a xorshift64* variate.
 func (e *Quantile) rand() uint64 {
-	x := e.rng.Load()
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	e.rng.Store(x)
-	return x * 0x2545f4914f6cdd1d
+	e.rng ^= e.rng << 13
+	e.rng ^= e.rng >> 7
+	e.rng ^= e.rng << 17
+	return e.rng * 0x2545f4914f6cdd1d
 }
 
 // rampDelay is how many consecutive same-direction moves travel at unit
@@ -102,60 +102,53 @@ func stepSize(run int64) int64 {
 	return int64(1) << sh
 }
 
-// Observe feeds one sample. Alloc-free; a handful of atomic operations
-// on the common path. The update is the paper's Frugal-2U with a
-// delayed-geometric f (see rampDelay): the step word holds the current
-// same-direction run length, a direction reversal resets it, and an
-// overshoot clamps the estimate to the triggering sample and resets the
-// run so a jump into a heavy tail cannot keep compounding.
+// Observe feeds one sample; writer only. Alloc-free; at most one atomic
+// store, when the estimate moves. The update is the paper's Frugal-2U
+// with a delayed-geometric f (see rampDelay): the step word holds the
+// current same-direction run length, a direction reversal resets it, and
+// an overshoot clamps the estimate to the triggering sample and resets
+// the run so a jump into a heavy tail cannot keep compounding.
 func (e *Quantile) Observe(v int64) {
-	if !e.seeded.Load() {
-		if e.seeded.CompareAndSwap(false, true) {
-			e.est.Store(v)
-			e.step.Store(1)
-			e.sign.Store(1)
-			return
-		}
+	if !e.seeded {
+		e.seeded, e.step, e.sign = true, 1, 1
+		e.est.Store(v)
+		return
 	}
 	m := e.est.Load()
 	if v == m {
 		return
 	}
 	r := e.rand()
+	var nm int64
 	if v > m {
 		if r >= e.thresh {
 			// Move up only with probability q.
 			return
 		}
 		run := int64(1) // reversal: settle back to unit steps
-		if e.sign.Load() > 0 {
-			run = e.step.Load() + 1 // same direction: extend the run
+		if e.sign > 0 {
+			run = e.step + 1 // same direction: extend the run
 		}
-		nm := m + stepSize(run)
+		nm = m + stepSize(run)
 		if nm > v || nm < m { // overshoot (or wrap): clamp to sample
-			nm = v
-			run = 1
+			nm, run = v, 1
 		}
-		e.step.Store(run)
-		e.sign.Store(1)
-		e.est.Store(nm)
-		return
+		e.step, e.sign = run, 1
+	} else {
+		// v < m: move down only with probability 1-q.
+		if r < e.thresh {
+			return
+		}
+		run := int64(1)
+		if e.sign < 0 {
+			run = e.step + 1
+		}
+		nm = m - stepSize(run)
+		if nm < v || nm > m { // overshoot below (or wrap): clamp to sample
+			nm, run = v, 1
+		}
+		e.step, e.sign = run, -1
 	}
-	// v < m: move down only with probability 1-q.
-	if r < e.thresh {
-		return
-	}
-	run := int64(1)
-	if e.sign.Load() < 0 {
-		run = e.step.Load() + 1
-	}
-	nm := m - stepSize(run)
-	if nm < v || nm > m { // overshoot below (or wrap): clamp to sample
-		nm = v
-		run = 1
-	}
-	e.step.Store(run)
-	e.sign.Store(-1)
 	e.est.Store(nm)
 }
 
@@ -165,19 +158,16 @@ func (e *Quantile) Estimate() int64 { return e.est.Load() }
 // Target returns the quantile this estimator tracks.
 func (e *Quantile) Target() float64 { return e.q }
 
-// Seeded reports whether at least one sample has been observed.
-func (e *Quantile) Seeded() bool { return e.seeded.Load() }
-
 // Frugal1U is the one-memory variant from the same paper: a single
 // word of state, ±1 moves. It needs streams whose value range is small
 // relative to the stream length to converge, so the broker uses the 2U
 // form for nanosecond latencies; 1U is kept as the reference baseline
-// the property tests compare against.
+// the property tests compare against. Like Quantile it has one writer.
 type Frugal1U struct {
 	thresh uint64
-	seeded atomic.Bool
+	seeded bool
+	rng    uint64
 	est    atomic.Int64
-	rng    atomic.Uint64
 }
 
 // NewFrugal1U returns a one-memory estimator targeting quantile q.
@@ -188,25 +178,20 @@ func NewFrugal1U(q float64) *Frugal1U {
 	if q >= 1 {
 		q = 0.999
 	}
-	e := &Frugal1U{thresh: uint64(q * float64(1<<63) * 2)}
-	e.rng.Store(0x853c49e6748fea9b)
-	return e
+	return &Frugal1U{thresh: uint64(q * float64(1<<63) * 2), rng: 0x853c49e6748fea9b}
 }
 
-// Observe feeds one sample.
+// Observe feeds one sample; writer only.
 func (e *Frugal1U) Observe(v int64) {
-	if !e.seeded.Load() {
-		if e.seeded.CompareAndSwap(false, true) {
-			e.est.Store(v)
-			return
-		}
+	if !e.seeded {
+		e.seeded = true
+		e.est.Store(v)
+		return
 	}
-	x := e.rng.Load()
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	e.rng.Store(x)
-	r := x * 0x2545f4914f6cdd1d
+	e.rng ^= e.rng << 13
+	e.rng ^= e.rng >> 7
+	e.rng ^= e.rng << 17
+	r := e.rng * 0x2545f4914f6cdd1d
 	m := e.est.Load()
 	if v > m && r < e.thresh {
 		e.est.Store(m + 1)
@@ -218,9 +203,13 @@ func (e *Frugal1U) Observe(v int64) {
 // Estimate returns the current estimate.
 func (e *Frugal1U) Estimate() int64 { return e.est.Load() }
 
-// LatencyPair bundles the p50/p99 estimators attached to a subscriber
-// session, a source group, or the pipeline aggregate, plus exact
-// count/sum words so the pair can expose a complete Prometheus summary.
+// LatencyPair is one session's delivery-latency estimate: Frugal-2U
+// p50 and p99 — one word each, the point where one word per session
+// matters — plus exact count and sum, so the pair can expose a complete
+// Prometheus summary. A pair has one writer, the goroutine that delivers
+// the session's stream; Snapshot may run on any goroutine beside it. The
+// estimates, the count and the sum are atomic words only the writer
+// stores to, so an Observe does no read-modify-write on shared memory.
 type LatencyPair struct {
 	p50   Quantile
 	p99   Quantile
@@ -236,23 +225,22 @@ func NewLatencyPair() *LatencyPair {
 	return l
 }
 
-// Observe feeds one latency sample into both estimators. Alloc-free
-// and nil-safe (a nil pair means telemetry is disabled).
+// Observe feeds one latency sample into both estimators; writer only.
+// Alloc-free and nil-safe (a nil pair means telemetry is disabled).
 func (l *LatencyPair) Observe(d time.Duration) {
 	if l == nil {
 		return
 	}
-	n := int64(d)
-	if n < 0 {
-		n = 0
-	}
+	n := max(int64(d), 0)
 	l.p50.Observe(n)
 	l.p99.Observe(n)
-	l.count.Add(1)
-	l.sum.Add(n)
+	l.count.Store(l.count.Load() + 1)
+	l.sum.Store(l.sum.Load() + n)
 }
 
-// LatencySnapshot is a point-in-time read of a LatencyPair.
+// LatencySnapshot is a point-in-time read of a latency view: p50 and p99
+// (Frugal-2U estimates for a session's LatencyPair, bucket-interpolated
+// for a shared LatencyHist) plus the exact sample count and sum.
 type LatencySnapshot struct {
 	P50        time.Duration `json:"p50_ns"`
 	P99        time.Duration `json:"p99_ns"`

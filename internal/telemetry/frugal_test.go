@@ -126,26 +126,43 @@ func TestQuantileRange(t *testing.T) {
 	}
 }
 
-// TestQuantileConcurrent drives one estimator from several goroutines:
-// no data race (under -race) and the estimate still ends inside the
-// observed range. Lost step updates are acceptable; corruption is not.
-func TestQuantileConcurrent(t *testing.T) {
-	e := NewQuantile(0.5)
+// TestQuantileOneWriterConcurrentReaders holds the single-writer
+// contract: one goroutine observes while others read the estimates and
+// snapshot the pair, with no data race (under -race), and every estimate
+// a reader sees lies inside the range the writer draws from.
+func TestQuantileOneWriterConcurrentReaders(t *testing.T) {
+	l := NewLatencyPair()
+	done := make(chan struct{})
 	var wg sync.WaitGroup
-	const perG, goroutines = 20_000, 4
-	for g := 0; g < goroutines; g++ {
+	for g := 0; g < 3; g++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for i := 0; i < perG; i++ {
-				e.Observe(int64(r.Intn(1_000_000)))
+			for {
+				s := l.Snapshot()
+				for _, e := range []time.Duration{s.P50, s.P99} {
+					if e < 0 || e > time.Millisecond {
+						t.Errorf("reader saw estimate %v outside [0, 1ms]", e)
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
 			}
-		}(int64(g + 1))
+		}()
 	}
+	r := rand.New(rand.NewSource(1))
+	const n = 80_000
+	for i := 0; i < n; i++ {
+		l.Observe(time.Duration(r.Intn(1_000_000)))
+	}
+	close(done)
 	wg.Wait()
-	if got := e.Estimate(); got < 0 || got > 1_000_000 {
-		t.Fatalf("concurrent estimate %d left observed range [0, 1000000]", got)
+	if s := l.Snapshot(); s.Count != n {
+		t.Fatalf("count %d after %d observations", s.Count, n)
 	}
 }
 
@@ -199,6 +216,7 @@ func TestObserveAllocs(t *testing.T) {
 	e := NewQuantile(0.5)
 	l := NewLatencyPair()
 	var h Histogram
+	var b LatencyBatch
 	p := New(1)
 	checks := []struct {
 		name string
@@ -210,6 +228,8 @@ func TestObserveAllocs(t *testing.T) {
 		{"Pipeline.Sample", func() { p.Sample(StageEngineStep) }},
 		{"Pipeline.Observe", func() { p.Observe(StageEngineStep, 12345) }},
 		{"Pipeline.ObserveDelivery", func() { p.ObserveDelivery(12345) }},
+		{"LatencyBatch.Observe", func() { b.Observe(12345) }},
+		{"LatencyHist.Fold", func() { p.Delivery().Fold(&b) }},
 	}
 	for _, c := range checks {
 		if avg := testing.AllocsPerRun(1000, c.f); avg != 0 {

@@ -1,6 +1,10 @@
 package telemetry
 
 import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -158,4 +162,134 @@ func TestPipelineSnapshot(t *testing.T) {
 	if s.Delivery.Count != 1 || s.Delivery.P50 != 3*time.Millisecond {
 		t.Fatalf("delivery snapshot %+v, want one 3ms sample", s.Delivery)
 	}
+}
+
+// histStreams are the deterministic streams the shared latency view is
+// checked on (nanoseconds): uniform over three decades, log-normal around
+// 200µs, two modes four decades apart, and a constant.
+var histStreams = []struct {
+	name string
+	gen  func(r *rand.Rand) int64
+}{
+	{"uniform", func(r *rand.Rand) int64 { return 1_000 + r.Int63n(1_000_000) }},
+	{"lognormal", func(r *rand.Rand) int64 { return int64(math.Exp(math.Log(200_000) + r.NormFloat64())) }},
+	{"bimodal", func(r *rand.Rand) int64 {
+		if r.Intn(2) == 0 {
+			return 2_000 + r.Int63n(500)
+		}
+		return 20_000_000 + r.Int63n(5_000_000)
+	}},
+	{"constant", func(*rand.Rand) int64 { return 3_000_000 }},
+}
+
+// TestLatencyHistAccuracy checks the interpolated quantiles against the
+// exact ones: on every stream, p50 and p99 lie in the bucket of the exact
+// nearest-rank quantile and inside [min, max]. Samples are folded in
+// batches of varying size, as the delivery paths fold them; count and sum
+// stay exact. The worst relative error per stream is logged (DESIGN.md
+// records it).
+func TestLatencyHistAccuracy(t *testing.T) {
+	const n = 200_000
+	for _, st := range histStreams {
+		r := rand.New(rand.NewSource(7))
+		h := new(LatencyHist)
+		var b LatencyBatch
+		xs := make([]int64, 0, n)
+		var sum int64
+		for len(xs) < n {
+			for k := 1 + r.Intn(64); k > 0 && len(xs) < n; k-- {
+				v := st.gen(r)
+				xs = append(xs, v)
+				sum += v
+				b.Observe(time.Duration(v))
+			}
+			h.Fold(&b)
+			b.Reset()
+		}
+		slices.Sort(xs)
+		s := h.Snapshot()
+		if s.Count != n || s.SumSeconds != float64(sum)/1e9 {
+			t.Fatalf("%s: count %d sum %v, want %d and %v", st.name, s.Count, s.SumSeconds, n, float64(sum)/1e9)
+		}
+		worst := 0.0
+		for _, q := range []struct {
+			q   float64
+			got time.Duration
+		}{{0.5, s.P50}, {0.99, s.P99}} {
+			exact := xs[int(math.Ceil(q.q*n))-1]
+			got := int64(q.got)
+			if bucketOf(got) != bucketOf(exact) {
+				t.Errorf("%s p%v: %d in bucket %d, exact %d in bucket %d", st.name, q.q*100, got, bucketOf(got), exact, bucketOf(exact))
+			}
+			if got < xs[0] || got > xs[n-1] {
+				t.Errorf("%s p%v: %d outside [%d, %d]", st.name, q.q*100, got, xs[0], xs[n-1])
+			}
+			worst = math.Max(worst, math.Abs(float64(got-exact))/float64(exact))
+		}
+		t.Logf("%-9s worst relative error %.3f", st.name, worst)
+	}
+}
+
+// TestLatencyHistOneSample pins the clamp: one sample reads exactly,
+// whatever its bucket, and an empty view reads zero.
+func TestLatencyHistOneSample(t *testing.T) {
+	var nilHist *LatencyHist
+	nilHist.Observe(time.Second) // must not panic
+	if s := nilHist.Snapshot(); s != (LatencySnapshot{}) {
+		t.Fatalf("nil view snapshot %+v", s)
+	}
+	if s := new(LatencyHist).Snapshot(); s != (LatencySnapshot{}) {
+		t.Fatalf("empty view snapshot %+v", s)
+	}
+	for _, d := range []time.Duration{0, 700, 3 * time.Millisecond, time.Hour} {
+		h := new(LatencyHist)
+		h.Observe(d)
+		if s := h.Snapshot(); s.P50 != d || s.P99 != d || s.Count != 1 {
+			t.Errorf("one %v sample reads %+v", d, s)
+		}
+	}
+}
+
+// FuzzLatencyHist folds arbitrary samples in arbitrary batch sizes: the
+// estimates stay inside [min, max] of what was folded, and count and sum
+// stay exact.
+func FuzzLatencyHist(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1})
+	seed := []byte{3}
+	for _, v := range []uint64{1, 1 << 40, 42, 0, 1 << 62, 7, 7, 1} {
+		seed = binary.LittleEndian.AppendUint64(seed, v)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := new(LatencyHist)
+		var b LatencyBatch
+		var count uint64
+		var sum int64
+		lo, hi := int64(math.MaxInt64), int64(0)
+		for len(data) >= 9 {
+			// A leading byte sizes the batch; samples are kept below
+			// 2^50 ns so that the exact sum cannot wrap.
+			k := int(data[0]%8) + 1
+			data = data[1:]
+			for ; k > 0 && len(data) >= 8; k-- {
+				v := int64(binary.LittleEndian.Uint64(data[:8]) & (1<<50 - 1))
+				data = data[8:]
+				b.Observe(time.Duration(v))
+				count++
+				sum += v
+				lo, hi = min(lo, v), max(hi, v)
+			}
+			h.Fold(&b)
+			b.Reset()
+			s := h.Snapshot()
+			if s.Count != count || s.SumSeconds != float64(sum)/1e9 {
+				t.Fatalf("count %d sum %v, want %d and %v", s.Count, s.SumSeconds, count, float64(sum)/1e9)
+			}
+			for _, e := range []time.Duration{s.P50, s.P99} {
+				if int64(e) < lo || int64(e) > hi {
+					t.Fatalf("estimate %d outside observed [%d, %d]", e, lo, hi)
+				}
+			}
+		}
+	})
 }

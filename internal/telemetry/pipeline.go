@@ -52,20 +52,22 @@ func Stages() []Stage {
 const DefaultSampleEvery = 64
 
 // Pipeline carries the stage histograms, their sampling gates, and the
-// aggregate delivery-latency estimator pair for one broker instance.
-// A nil *Pipeline disables instrumentation: every method is nil-safe.
+// aggregate delivery-latency view for one broker instance. A nil
+// *Pipeline disables instrumentation: every method is nil-safe.
 type Pipeline struct {
 	mask     uint64
 	every    int
 	gates    [numStages]atomic.Uint64
 	hists    [numStages]Histogram
-	delivery *LatencyPair
+	delivery LatencyHist
 }
 
 // New builds a pipeline sampling one in every sampleEvery events per
 // stage (rounded up to a power of two; 0 means DefaultSampleEvery).
-// Delivery-latency observation is not sampled — frugal updates are
-// cheap enough to keep for every delivery.
+// Delivery latency is not sampled: every delivery is counted, but the
+// delivery paths fold it in batches (Delivery().Fold), one per egress
+// write or sink call, so the view shared by every delivering goroutine
+// is written once per batch, not once per delivery.
 func New(sampleEvery int) *Pipeline {
 	if sampleEvery <= 0 {
 		sampleEvery = DefaultSampleEvery
@@ -74,7 +76,7 @@ func New(sampleEvery int) *Pipeline {
 	for period < sampleEvery {
 		period <<= 1
 	}
-	return &Pipeline{mask: uint64(period - 1), every: period, delivery: NewLatencyPair()}
+	return &Pipeline{mask: uint64(period - 1), every: period}
 }
 
 // SampleEvery returns the effective sampling period.
@@ -103,7 +105,7 @@ func (p *Pipeline) Observe(s Stage, d time.Duration) {
 }
 
 // ObserveDelivery feeds one end-to-end delivery latency sample into the
-// aggregate pair.
+// aggregate view, for a caller that sees one at a time.
 func (p *Pipeline) ObserveDelivery(d time.Duration) {
 	if p == nil {
 		return
@@ -111,13 +113,13 @@ func (p *Pipeline) ObserveDelivery(d time.Duration) {
 	p.delivery.Observe(d)
 }
 
-// Delivery returns the aggregate delivery-latency pair (nil when
+// Delivery returns the aggregate delivery-latency view (nil when
 // disabled).
-func (p *Pipeline) Delivery() *LatencyPair {
+func (p *Pipeline) Delivery() *LatencyHist {
 	if p == nil {
 		return nil
 	}
-	return p.delivery
+	return &p.delivery
 }
 
 // StageSnapshot is a point-in-time read of one stage histogram.

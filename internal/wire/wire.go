@@ -227,6 +227,23 @@ func uvarintLen(v uint64) int {
 // data; consumers that retain labels must copy them out. It is the
 // allocation-free receive path for client loops and benchmarks.
 func DecodeTransmissionInto(dst *tuple.Tuple, s *tuple.Schema, labels [][]byte, data []byte) ([][]byte, int, error) {
+	labels, off, err := DecodeDestinationsInto(labels, data)
+	if err != nil {
+		return labels, 0, err
+	}
+	n, err := DecodeTupleInto(dst, s, data[off:])
+	if err != nil {
+		return labels, 0, err
+	}
+	return labels, off + n, nil
+}
+
+// DecodeDestinationsInto decodes the destination-list prefix of a
+// labeled transmission, appending the labels to labels as views into
+// data, and returns the prefix length: the tuple starts there. The prefix
+// is self-delimiting, so a transmission whose leading bytes equal a
+// prefix decoded before carries the same destination list.
+func DecodeDestinationsInto(labels [][]byte, data []byte) ([][]byte, int, error) {
 	if len(data) < 1 {
 		return labels, 0, fmt.Errorf("wire: empty transmission")
 	}
@@ -247,11 +264,7 @@ func DecodeTransmissionInto(dst *tuple.Tuple, s *tuple.Schema, labels [][]byte, 
 		labels = append(labels, data[off:off+int(l)])
 		off += int(l)
 	}
-	n, err := DecodeTupleInto(dst, s, data[off:])
-	if err != nil {
-		return labels, 0, err
-	}
-	return labels, off + n, nil
+	return labels, off, nil
 }
 
 // TransmissionHasDestination reports whether the encoded transmission

@@ -347,7 +347,7 @@ func WithRecvBuffer(n int) SubOption { return recvBufferOption(n) }
 func WithResumeFrom(offset uint64) SubOption { return resumeOption(offset) }
 
 // WithTelemetry tunes the embedded broker's pipeline telemetry: the
-// frugal delivery-latency quantiles and the sampled stage-timing
+// delivery-latency quantiles and the sampled stage-timing
 // histograms read back with Embedded.Telemetry. sampleEvery is the
 // stage-timing sampling period, rounded up to a power of two (one timed
 // event per period per stage bounds the steady-state clock cost); 0
